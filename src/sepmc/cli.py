@@ -15,7 +15,7 @@ import time
 
 from . import __version__
 from .conjecture import p_of_alpha
-from .engine import NoPositiveSamplesError, estimate
+from .engine import CheckpointError, NoPositiveSamplesError, estimate
 from .selftest import run_selftest
 from .states import CASES
 
@@ -67,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--checkpoint", default=None, metavar="PATH",
                      help="checkpoint file to write and resume from")
     est.add_argument("--checkpoint-every", type=int, default=1, metavar="K",
-                     help="checkpoint every K completed chunks")
+                     help="checkpoint every K completed chunks (0: never write)")
     est.add_argument("--out", default=None, metavar="PATH",
                      help="also write the result document to PATH")
 
@@ -98,6 +98,12 @@ def cmd_estimate(args) -> int:
     if args.workers is not None and args.workers < 1:
         print("sepmc estimate: error: --workers must be >= 1 or 'auto'", file=sys.stderr)
         return EXIT_USAGE
+    if not 0 <= args.seed < 2**64:
+        print("sepmc estimate: error: --seed must be in [0, 2**64)", file=sys.stderr)
+        return EXIT_USAGE
+    if args.checkpoint_every < 0:
+        print("sepmc estimate: error: --checkpoint-every must be >= 0", file=sys.stderr)
+        return EXIT_USAGE
     alpha = CASE_ALPHA[args.case]
     try:
         res = estimate(
@@ -113,6 +119,12 @@ def cmd_estimate(args) -> int:
     except (NoPositiveSamplesError, ArithmeticError) as exc:
         print(f"sepmc estimate: {exc}", file=sys.stderr)
         return EXIT_FAILURE
+    except CheckpointError as exc:
+        print(f"sepmc estimate: error: checkpoint {args.checkpoint}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except ValueError as exc:
+        print(f"sepmc estimate: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     doc = {
         "schema": RESULT_SCHEMA,
         "command": "estimate",

@@ -156,15 +156,19 @@ def checkpoint_save(state: Checkpoint, path) -> None:
 def checkpoint_load(path) -> Checkpoint:
     """Parse a checkpoint file, raising CheckpointError naming any bad field."""
     fields = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(None, 1)
-            if len(parts) != 2:
-                raise CheckpointError(f"line {lineno}: expected 'key value', got {line!r}")
-            fields[parts[0]] = parts[1]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise CheckpointError(f"not a text file: {exc}") from None
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(None, 1)
+        if len(parts) != 2:
+            raise CheckpointError(f"line {lineno}: expected 'key value', got {line!r}")
+        fields[parts[0]] = parts[1]
     for key in _CHECKPOINT_FIELDS:
         if key not in fields:
             raise CheckpointError(f"missing field {key!r}")
@@ -179,12 +183,29 @@ def checkpoint_load(path) -> Checkpoint:
             f"field 'version': expected {CHECKPOINT_VERSION}, got {version}"
         )
     tag = fields["case"]
-    get_case(tag)
+    try:
+        get_case(tag)
+    except ValueError as exc:
+        raise CheckpointError(f"field 'case': {exc}") from None
+    seed = _int("seed")
+    if not 0 <= seed < 1 << 64:
+        raise CheckpointError(f"field 'seed': must be in [0, 2**64), got {seed}")
+    chunk_size = _int("chunk_size")
+    if chunk_size < 1:
+        raise CheckpointError(f"field 'chunk_size': must be >= 1, got {chunk_size}")
+    chunks_done = _int("chunks_done")
+    if chunks_done < 0:
+        raise CheckpointError(f"field 'chunks_done': must be >= 0, got {chunks_done}")
     try:
         tally = TallyCounts(_int("n_total"), _int("n_positive"), _int("n_sep"))
     except ValueError as exc:
         raise CheckpointError(f"field 'n_total/n_positive/n_sep': {exc}") from None
-    return Checkpoint(tag, _int("seed"), _int("chunk_size"), _int("chunks_done"), tally)
+    if tally.n_total != chunks_done * chunk_size:
+        raise CheckpointError(
+            f"field 'n_total': {tally.n_total} draws, but chunks_done * chunk_size "
+            f"= {chunks_done} * {chunk_size} = {chunks_done * chunk_size}"
+        )
+    return Checkpoint(tag, seed, chunk_size, chunks_done, tally)
 
 
 def estimate(
@@ -227,6 +248,11 @@ def estimate(
         if ck.chunk_size != chunk_size:
             raise CheckpointError(
                 f"field 'chunk_size': checkpoint has {ck.chunk_size}, run uses {chunk_size}"
+            )
+        if ck.chunks_done > n_chunks:
+            raise CheckpointError(
+                f"field 'chunks_done': checkpoint has {ck.chunks_done} chunks, "
+                f"run has only {n_chunks}"
             )
         start_chunk = ck.chunks_done
         tally = ck.tally

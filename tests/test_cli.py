@@ -125,6 +125,50 @@ class TestEstimateCommand:
         assert code == 0
 
 
+class TestEstimateBadInput:
+    """Bad flags and checkpoint files end in one line on stderr and exit 1."""
+
+    ARGV = ("estimate", "--case", "rebit", "--samples", "2000", "--workers", "1",
+            "--chunk-size", "1000")
+
+    @staticmethod
+    def assert_usage_error(code, out, err, needle):
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("sepmc estimate: error: ")
+        assert needle in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flags, needle", [
+        (("--seed", "-1"), "--seed"),
+        (("--seed", str(2**64)), "--seed"),
+        (("--checkpoint-every", "-3"), "--checkpoint-every"),
+    ], ids=["seed-negative", "seed-2**64", "checkpoint-every-negative"])
+    def test_out_of_range_flag(self, capsys, tmp_path, flags, needle):
+        path = tmp_path / "run.ckpt"
+        code, out, err = run_cli(capsys, *self.ARGV, "--checkpoint", str(path), *flags)
+        self.assert_usage_error(code, out, err, needle)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("content, needle", [
+        (b"version 1\ncase rebit\nseed zero\n", "missing field"),
+        (b"version 1\ncase rebit\nseed 0\nchunk_size 1000\nchunks_done 1\n"
+         b"n_total 1000\nn_positive 9\nn_sep x\n", "n_sep"),
+        # 50 chunks done of a 2-chunk run, and n_total 7 != 50 * 1000
+        (b"version 1\ncase rebit\nseed 0\nchunk_size 1000\nchunks_done 50\n"
+         b"n_total 7\nn_positive 0\nn_sep 0\n", "n_total"),
+        (b"version 1\ncase rebit\nseed 0\nchunk_size 1000\nchunks_done 50\n"
+         b"n_total 50000\nn_positive 0\nn_sep 0\n", "chunks_done"),
+        (bytes(range(256)), "not a text file"),
+    ], ids=["truncated", "garbage-value", "inconsistent-n_total", "chunks-beyond-run", "binary"])
+    def test_bad_checkpoint_file(self, capsys, tmp_path, content, needle):
+        path = tmp_path / "run.ckpt"
+        path.write_bytes(content)
+        code, out, err = run_cli(capsys, *self.ARGV, "--checkpoint", str(path))
+        self.assert_usage_error(code, out, err, needle)
+        assert str(path) in err
+
+
 class TestSelftestCommand:
     def test_clean_build_passes(self, capsys):
         code, out, _ = run_cli(capsys, "selftest")

@@ -1,5 +1,9 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from sepmc import kernels
 from sepmc.engine import (
@@ -81,20 +85,10 @@ class TestRunChunk:
 
 
 class TestKernelBackends:
-    @pytest.mark.parametrize("tag", ["rebit", "qubit", "quaterbit"])
-    def test_backends_agree(self, tag):
-        pytest.importorskip("numba")
-        case = CASES[tag]
-        pts = sample_ball(case.num_coeffs, case.radius, derive_stream(3, 0, 0), 100_000)
-        pts[:2000] *= 0.12  # guarantee some interior (positive) points
-        numba_counts = kernels.count_tallies(pts, tag, backend="numba")
-        numpy_counts = kernels.count_tallies(pts, tag, backend="numpy")
-        assert numba_counts == numpy_counts
-
     @staticmethod
     def _embedded_werner_points():
         # rho_qubit x I/2 lies in the quaterbit span; its positivity and PPT
-        # verdicts match the underlying two-qubit state, giving the kernels
+        # verdicts match the underlying two-qubit state, giving the kernel
         # deterministic quaterbit points with every verdict combination.
         def werner_matrix(p):
             singlet = np.zeros((4, 4), dtype=complex)
@@ -114,7 +108,7 @@ class TestKernelBackends:
 
     def test_quaterbit_embedded_two_qubit_family(self):
         pts = self._embedded_werner_points()
-        assert kernels.count_tallies(pts, "quaterbit", backend="numpy") == (2, 1)
+        assert kernels.count_tallies(pts, "quaterbit") == (2, 1)
         # the eigenvalue-based API reaches the same verdicts row by row
         verdicts = []
         for row in pts:
@@ -122,16 +116,70 @@ class TestKernelBackends:
             verdicts.append((is_positive(v), is_positive(v) and ppt_test(v)))
         assert verdicts == [(True, True), (True, False), (False, False)]
 
-    def test_quaterbit_embedded_two_qubit_family_numba(self):
-        pytest.importorskip("numba")
-        pts = self._embedded_werner_points()
-        assert kernels.count_tallies(pts, "quaterbit", backend="numba") == (2, 1)
-
     def test_input_validation(self):
         with pytest.raises(ValueError, match="shape"):
             kernels.count_tallies(np.zeros((5, 14)), "qubit")
-        with pytest.raises(ValueError, match="backend"):
-            kernels.count_tallies(np.zeros((5, 15)), "qubit", backend="fortran")
+
+
+@lru_cache(maxsize=None)
+def _scored_points(tag):
+    """Ball points shrunk by factors spread over [0.05, 1], with per-row verdicts.
+
+    Returns (pts, kernel, eig): kernel[r] is count_tallies(pts[r:r+1]) and
+    eig[r] the (positive, positive-and-PPT) verdict of the eigenvalue route.
+    The factors are shuffled so neighbouring lanes of a tile disagree.
+    """
+    case = CASES[tag]
+    n = 1500
+    pts = sample_ball(case.num_coeffs, case.radius, derive_stream(31, 0, 0), n)
+    pts *= np.random.default_rng(3).uniform(0.05, 1.0, (n, 1))
+    kernel = np.array([kernels.count_tallies(row[None], tag) for row in pts])
+    eig = []
+    for row in pts:
+        v = CoeffVector(case, row)
+        pos = is_positive(v)
+        eig.append((pos, pos and ppt_test(v)))
+    return pts, kernel, np.array(eig, dtype=int)
+
+
+class TestKernelAgainstEigenvalueRoute:
+    """The compacting kernel against the eigensolver, row by row and in batches."""
+
+    @pytest.mark.parametrize("tag", sorted(CASES))
+    def test_every_row_and_the_batch_agree(self, tag):
+        pts, kernel, eig = _scored_points(tag)
+        np.testing.assert_array_equal(kernel, eig)
+        npos, nsep = eig.sum(axis=0)
+        # every outcome occurs: PPT, positive but not PPT, not positive
+        assert 0 < nsep < npos < len(pts)
+        assert kernels.count_tallies(pts, tag) == (npos, nsep)
+
+    @pytest.mark.parametrize("tag", sorted(CASES))
+    @pytest.mark.parametrize("n", [4095, 4096, 4097, 8193])
+    def test_tile_boundaries(self, tag, n):
+        pts, kernel, _ = _scored_points(tag)
+        rows = np.random.default_rng(n).integers(0, len(pts), n)
+        expected = tuple(int(x) for x in kernel[rows].sum(axis=0))
+        assert kernels.count_tallies(pts[rows], tag) == expected
+
+    @pytest.mark.parametrize("tag", sorted(CASES))
+    def test_empty_batch(self, tag):
+        assert kernels.count_tallies(np.zeros((0, CASES[tag].num_coeffs)), tag) == (0, 0)
+
+    @pytest.mark.parametrize("tag", sorted(CASES))
+    def test_tile_dead_at_first_pivot(self, tag):
+        case = CASES[tag]
+        # rho[0, 0] = 1/d + c.g with g[a] = G_a[0, 0]: a step of 0.6 along -g
+        # makes it negative for every point of the small noise ball
+        g = case.basis[:, 0, 0].real
+        noise = sample_ball(case.num_coeffs, 0.05, derive_stream(8, 0, 0), 4096)
+        dead = noise - 0.6 * g / np.linalg.norm(g)
+        assert np.all(1 / case.dim + dead @ g < -0.1)
+        assert kernels.count_tallies(dead, tag) == (0, 0)
+        # a dead tile in front of live ones leaves their tally unchanged
+        pts, kernel, _ = _scored_points(tag)
+        expected = tuple(int(x) for x in kernel.sum(axis=0))
+        assert kernels.count_tallies(np.concatenate([dead, pts]), tag) == expected
 
 
 class TestEstimate:
@@ -239,3 +287,96 @@ class TestCheckpoint:
                            checkpoint_path=path, checkpoint_every=2)
         assert resumed.tally == full.tally
         assert checkpoint_load(path).chunks_done == 10
+
+    @staticmethod
+    def _write(path, **fields):
+        text = {"version": 1, "case": "rebit", "seed": 5, "chunk_size": 1000,
+                "chunks_done": 2, "n_total": 2000, "n_positive": 3, "n_sep": 2}
+        text.update(fields)
+        path.write_text("".join(f"{k} {v}\n" for k, v in text.items()))
+
+    def test_inconsistent_draw_count_rejected(self, tmp_path):
+        # chunks_done 50 for a 2-chunk run, and n_total 7 != 50 * 1000
+        path = tmp_path / "run.ckpt"
+        self._write(path, chunks_done=50, n_total=7)
+        with pytest.raises(CheckpointError, match="n_total"):
+            checkpoint_load(path)
+        with pytest.raises(CheckpointError, match="n_total"):
+            estimate("rebit", seed=5, n_total=2000, workers=1, chunk_size=1000,
+                     checkpoint_path=path, checkpoint_every=1)
+
+    @pytest.mark.parametrize("field, value", [
+        ("chunk_size", 0), ("chunks_done", -1), ("seed", -1), ("seed", 2**64),
+        ("case", "qutrit"),
+    ])
+    def test_out_of_range_field_rejected(self, tmp_path, field, value):
+        path = tmp_path / "run.ckpt"
+        self._write(path, **{field: value})
+        with pytest.raises(CheckpointError, match=field):
+            checkpoint_load(path)
+
+    def test_binary_file_rejected(self, tmp_path):
+        path = tmp_path / "run.ckpt"
+        path.write_bytes(b"\xff\xfe\x00version 1\n")
+        with pytest.raises(CheckpointError, match="text"):
+            checkpoint_load(path)
+
+    def test_more_chunks_done_than_the_run_has_rejected(self, tmp_path):
+        path = tmp_path / "run.ckpt"
+        self._write(path, chunks_done=50, n_total=50_000)
+        assert checkpoint_load(path).chunks_done == 50
+        with pytest.raises(CheckpointError, match="chunks_done"):
+            estimate("rebit", seed=5, n_total=2000, workers=1, chunk_size=1000,
+                     checkpoint_path=path, checkpoint_every=1)
+
+
+_FUZZ_CHUNK = 500
+_FUZZ_CHUNKS = 6
+
+
+@lru_cache(maxsize=None)
+def _fuzz_chunk_tally(chunk_idx):
+    return run_chunk("rebit", derive_stream(5, 0, chunk_idx), _FUZZ_CHUNK)
+
+
+_INT_FIELDS = ("version", "seed", "chunk_size", "chunks_done", "n_total", "n_positive", "n_sep")
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    chunks_done=st.integers(0, _FUZZ_CHUNKS),
+    n_sep=st.integers(0, 4),
+    extra_positive=st.integers(0, 4),
+    corrupt=st.dictionaries(st.sampled_from(_INT_FIELDS), st.integers(), max_size=3),
+)
+def test_fuzzed_checkpoint_resumes_consistently_or_is_rejected(
+    tmp_path, chunks_done, n_sep, extra_positive, corrupt
+):
+    # a genuine prefix of the run below, with up to three integer fields overwritten
+    fields = {"version": 1, "seed": 5, "chunk_size": _FUZZ_CHUNK, "chunks_done": chunks_done,
+              "n_total": chunks_done * _FUZZ_CHUNK, "n_positive": n_sep + extra_positive,
+              "n_sep": n_sep}
+    fields.update(corrupt)
+    path = tmp_path / "fuzz.ckpt"
+    path.write_text("case rebit\n" + "".join(f"{k} {v}\n" for k, v in fields.items()))
+    try:
+        res = estimate("rebit", seed=5, n_total=_FUZZ_CHUNKS * _FUZZ_CHUNK, workers=1,
+                       chunk_size=_FUZZ_CHUNK, checkpoint_path=path, checkpoint_every=0)
+        tally = res.tally
+    except CheckpointError:
+        return
+    except NoPositiveSamplesError:
+        tally = None
+    # accepted: the checkpoint is a prefix of this very run
+    assert (fields["version"], fields["seed"], fields["chunk_size"]) == (1, 5, _FUZZ_CHUNK)
+    done = fields["chunks_done"]
+    assert 0 <= done <= _FUZZ_CHUNKS
+    assert fields["n_total"] == done * _FUZZ_CHUNK
+    expected = TallyCounts(fields["n_total"], fields["n_positive"], fields["n_sep"])
+    for i in range(done, _FUZZ_CHUNKS):
+        expected = expected.merge(_fuzz_chunk_tally(i))
+    if tally is None:
+        assert expected.n_positive == 0
+    else:
+        assert tally == expected
