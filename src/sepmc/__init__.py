@@ -18,7 +18,6 @@ from .engine import (
     checkpoint_load,
     checkpoint_save,
     estimate,
-    merge,
     run_chunk,
 )
 from .sampler import StreamSpec, derive_stream, sample_ball
@@ -48,6 +47,6 @@ __all__ = [
     "is_positive", "partial_transpose", "ppt_test",
     "StreamSpec", "derive_stream", "sample_ball",
     "TallyCounts", "EstimateResult", "Checkpoint", "NoPositiveSamplesError",
-    "run_chunk", "merge", "estimate", "checkpoint_save", "checkpoint_load",
+    "run_chunk", "estimate", "checkpoint_save", "checkpoint_load",
     "SeriesResult", "q_poly", "f_term", "p_of_alpha",
 ]

@@ -62,16 +62,6 @@ class Quaternion:
         )
 
 
-def quat_mul(p: Quaternion, q: Quaternion) -> Quaternion:
-    return p * q
-
-def quat_conj(q: Quaternion) -> Quaternion:
-    return q.conjugate()
-
-def quat_to_block(q: Quaternion) -> np.ndarray:
-    return q.to_block()
-
-
 # Generator label sets.  A label is the index tuple of a Pauli tensor:
 # (i, j) -> sigma_i x sigma_j for the 4x4 cases, (i, j, k) -> sigma_i x
 # sigma_j x sigma_k for the 8x8 quaterbit case.  The quaterbit set is

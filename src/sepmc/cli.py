@@ -15,7 +15,7 @@ import time
 
 from . import __version__
 from .conjecture import p_of_alpha
-from .engine import CheckpointError, NoPositiveSamplesError, estimate
+from .engine import DEFAULT_CHUNK_SIZE, CheckpointError, NoPositiveSamplesError, estimate
 from .selftest import run_selftest
 from .states import CASES
 
@@ -63,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--seed", type=int, default=0)
     est.add_argument("--workers", type=_workers_arg, default=None,
                      help="worker processes, or 'auto' (default)")
-    est.add_argument("--chunk-size", type=int, default=1_000_000)
+    est.add_argument("--chunk-size", type=int, default=DEFAULT_CHUNK_SIZE)
     est.add_argument("--checkpoint", default=None, metavar="PATH",
                      help="checkpoint file to write and resume from")
     est.add_argument("--checkpoint-every", type=int, default=1, metavar="K",
@@ -81,11 +81,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(doc: dict, out_path):
+    """Write the document to out_path first, so a failed write prints nothing."""
     text = json.dumps(doc, indent=2)
-    print(text)
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")
+    print(text)
 
 
 def cmd_estimate(args) -> int:
@@ -147,9 +148,6 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_conjecture(args) -> int:
-    if args.alpha < 0:
-        print("sepmc conjecture: error: --alpha must be >= 0", file=sys.stderr)
-        return EXIT_USAGE
     t0 = time.perf_counter()
     try:
         res = p_of_alpha(args.alpha, args.rel_tol)
@@ -196,7 +194,12 @@ def main(argv=None) -> int:
         "conjecture": cmd_conjecture,
         "selftest": cmd_selftest,
     }[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except OSError as exc:
+        # An unusable --checkpoint or --out path.
+        print(f"sepmc {args.command}: error: {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

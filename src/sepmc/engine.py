@@ -13,18 +13,19 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import kernels
-from .sampler import StreamSpec, ball_from_draws, derive_stream
+from .sampler import DRAW_BATCH, StreamSpec, ball_batches, derive_stream
 from .states import StateCase, get_case
 
-# Samples materialized per kernel call inside a chunk.  Fixed, not tunable:
-# the draw order (and hence the tally) of a chunk must depend only on its
-# StreamSpec and chunk_size.
-KERNEL_BATCH = 1 << 16
+# Samples per kernel call inside a chunk: the sampler's draw batch, so that
+# a chunk's tally depends only on its StreamSpec and chunk_size.
+KERNEL_BATCH = DRAW_BATCH
 
 DEFAULT_CHUNK_SIZE = 1_000_000
 
@@ -71,10 +72,6 @@ class TallyCounts:
         )
 
 
-def merge(a: TallyCounts, b: TallyCounts) -> TallyCounts:
-    return a.merge(b)
-
-
 @dataclass(frozen=True)
 class EstimateResult:
     case: StateCase
@@ -94,27 +91,13 @@ def run_chunk(case, stream: StreamSpec, chunk_size: int) -> TallyCounts:
     case = get_case(case)
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-    rng = stream.generator()
-    m, r = case.num_coeffs, case.radius
     n_positive = 0
     n_sep = 0
-    done = 0
-    while done < chunk_size:
-        n = min(KERNEL_BATCH, chunk_size - done)
-        z = rng.standard_normal((n, m))
-        u = rng.random(n)
-        pts = ball_from_draws(z, u, r)
+    for pts in ball_batches(case.num_coeffs, case.radius, stream.generator(), chunk_size):
         npos, nsep = kernels.count_tallies(pts, case.tag)
-        n_positive += int(npos)
-        n_sep += int(nsep)
-        done += n
+        n_positive += npos
+        n_sep += nsep
     return TallyCounts(chunk_size, n_positive, n_sep)
-
-
-def _chunk_task(args) -> tuple:
-    tag, seed, chunk_idx, chunk_size = args
-    t = run_chunk(tag, derive_stream(seed, 0, chunk_idx), chunk_size)
-    return t.n_total, t.n_positive, t.n_sep
 
 
 @dataclass(frozen=True)
@@ -126,7 +109,6 @@ class Checkpoint:
     chunk_size: int
     chunks_done: int
     tally: TallyCounts
-    version: int = CHECKPOINT_VERSION
 
 
 _CHECKPOINT_FIELDS = (
@@ -138,7 +120,7 @@ _CHECKPOINT_FIELDS = (
 def checkpoint_save(state: Checkpoint, path) -> None:
     """Write a checkpoint as line-oriented 'key value' text (atomic rename)."""
     lines = [
-        f"version {state.version}",
+        f"version {CHECKPOINT_VERSION}",
         f"case {state.case_tag}",
         f"seed {state.seed}",
         f"chunk_size {state.chunk_size}",
@@ -233,6 +215,8 @@ def estimate(
         workers = os.cpu_count() or 1
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    if checkpoint_every < 0:
+        raise ValueError(f"checkpoint_every must be >= 0, got {checkpoint_every}")
 
     t_start = time.perf_counter()
     n_chunks = math.ceil(n_total / chunk_size)
@@ -258,28 +242,24 @@ def estimate(
         tally = ck.tally
 
     todo = range(start_chunk, n_chunks)
-    args = [(case.tag, seed, i, chunk_size) for i in todo]
-
-    def _on_result(chunk_idx, counts):
-        nonlocal tally
-        tally = tally.merge(TallyCounts(*counts))
-        if checkpoint_path and checkpoint_every and (
-            (chunk_idx + 1 - start_chunk) % checkpoint_every == 0 or chunk_idx + 1 == n_chunks
-        ):
-            checkpoint_save(
-                Checkpoint(case.tag, seed, chunk_size, chunk_idx + 1, tally),
-                checkpoint_path,
-            )
-
-    if workers == 1 or len(args) <= 1:
-        for chunk_idx, a in zip(todo, args):
-            _on_result(chunk_idx, _chunk_task(a))
-    else:
+    streams = (derive_stream(seed, 0, i) for i in todo)
+    task = partial(run_chunk, case.tag, chunk_size=chunk_size)
+    with ExitStack() as stack:
+        if workers == 1 or len(todo) <= 1:
+            mapper = map
+        else:
+            mapper = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
         # Results are consumed in submission order so a checkpoint always
         # describes an exact prefix of the chunk sequence.
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for chunk_idx, counts in zip(todo, pool.map(_chunk_task, args)):
-                _on_result(chunk_idx, counts)
+        for chunk_idx, counts in zip(todo, mapper(task, streams)):
+            tally = tally.merge(counts)
+            if checkpoint_path and checkpoint_every and (
+                (chunk_idx + 1 - start_chunk) % checkpoint_every == 0 or chunk_idx + 1 == n_chunks
+            ):
+                checkpoint_save(
+                    Checkpoint(case.tag, seed, chunk_size, chunk_idx + 1, tally),
+                    checkpoint_path,
+                )
 
     if tally.n_positive == 0:
         raise NoPositiveSamplesError(

@@ -12,16 +12,17 @@ contiguous (m, n) coefficients: one lane per point, every per-lane quantity
 a contiguous float64 row.  The factor L is kept as separate real and
 imaginary arrays.
 
-Lazy, compacting factorization.  Each generator is a Pauli tensor with
-exactly one nonzero entry per row, so an entry rho[i, j] has only a few
-contributing generators.  `column_tables` lists them for each column j and
-row i >= j, in increasing generator index, with their real and imaginary
-parts.  The factorization is left-looking: column j's diagonal pivot is
-assembled and reduced first, the lanes whose pivot is not positive are
-dropped from every array at once, and only then is the rest of column j
-assembled and factored for the survivors.  A tile stops as soon as no lane
-is left.  Under ball sampling about half of the qubit lanes are gone after
-two pivots and over 90% after three, so most of the matrix is never built.
+Lazy, compacting factorization.  An entry rho[i, j] has only the few
+contributing generators a with basis[a, i, j] != 0.  `case_tables`, the one
+table builder, reads them off the family's generator basis for each column
+j and row i >= j, in increasing generator index, with their real and
+imaginary parts, and caches them with the partial-transpose signs.  The
+factorization is left-looking: column j's diagonal pivot is assembled and
+reduced first, the lanes whose pivot is not positive are dropped from every
+array at once, and only then is the rest of column j assembled and factored
+for the survivors.  A tile stops as soon as no lane is left.  Under ball
+sampling about half of the qubit lanes are gone after two pivots and over
+90% after three, so most of the matrix is never built.
 
 Verdicts follow the per-sample algorithm operation by operation.  Each
 surviving lane performs the same IEEE operations in the same order: an
@@ -53,68 +54,39 @@ _TILE = 4096
 
 @lru_cache(maxsize=None)
 def case_tables(tag: str):
-    """(cols, vals, pt_signs) sparse-assembly tables for one state family.
+    """(columns, pt_signs): assembly tables of rho = I/d + sum_a c_a G_a for one family.
 
-    cols[a, i] / vals[a, i] give the single nonzero column and value of
-    generator a in row i; pt_signs are the partial-transpose coefficient
-    flips (subsystem B).
-    """
-    case = get_case(tag)
-    basis = case.basis
-    m, d, _ = basis.shape
-    cols = np.zeros((m, d), dtype=np.int64)
-    vals = np.zeros((m, d), dtype=np.complex128)
-    for a in range(m):
-        for i in range(d):
-            nz = np.flatnonzero(basis[a, i])
-            if nz.size != 1:
-                raise AssertionError("generator rows must have exactly one nonzero")
-            cols[a, i] = nz[0]
-            vals[a, i] = basis[a, i, nz[0]]
-    signs = np.asarray(pt_sign_vector(tag), dtype=np.float64)
-    for arr in (cols, vals, signs):
-        arr.setflags(write=False)
-    return cols, vals, signs
-
-
-@lru_cache(maxsize=None)
-def column_tables(tag: str):
-    """Per-column assembly tables of the lower triangle of rho = I/d + sum_a c_a G_a.
-
-    Entry j is (diag_gens, diag_vals, gens, coefs): rho[j, j] is 1/d plus
+    columns[j] is (diag_gens, diag_vals, gens, coefs): rho[j, j] is 1/d plus
     c[a] * v over (a, v) in zip(diag_gens, diag_vals[:, 0]), in that order.
     For the rows i = j+1 .. d-1 below the pivot, gens[p, i-j-1, t] and
     coefs[p, i-j-1, t, 0] are the t-th contributing generator of the real
     (p = 0) or imaginary (p = 1) part of rho[i, j], in increasing generator
     index, padded at the end with zero coefficients.  The trailing axes of
-    length 1 broadcast over lanes.
+    length 1 broadcast over lanes.  pt_signs are the partial-transpose
+    coefficient flips (subsystem B).
     """
-    cols, vals, _ = case_tables(get_case(tag).tag)
-    m, d = cols.shape
-    tables = []
+    basis = get_case(tag).basis
+    d = basis.shape[1]
+    columns = []
     for j in range(d):
-        diag = [a for a in range(m) if cols[a, j] == j and vals[a, j].real != 0]
-        parts = []
-        for i in range(j + 1, d):
-            contrib = [(a, vals[a, i]) for a in range(m) if cols[a, i] == j]
-            parts.append((
-                [(a, v.real) for a, v in contrib if v.real != 0],
-                [(a, v.imag) for a, v in contrib if v.imag != 0],
-            ))
-        width = max([1] + [len(p) for pair in parts for p in pair])
+        diag_gens = np.flatnonzero(basis[:, j, j].real)
+        diag_vals = basis[diag_gens, j, j].real.reshape(-1, 1)
+        below = basis[:, j + 1:, j]
+        parts = (below.real, below.imag)
+        nonzero = [[np.flatnonzero(part[:, r]) for r in range(d - j - 1)] for part in parts]
+        width = max([1] + [nz.size for rows in nonzero for nz in rows])
         gens = np.zeros((2, d - j - 1, width), dtype=np.intp)
         coefs = np.zeros((2, d - j - 1, width, 1))
-        for r, pair in enumerate(parts):
-            for p, terms in enumerate(pair):
-                for t, (a, v) in enumerate(terms):
-                    gens[p, r, t] = a
-                    coefs[p, r, t, 0] = v
-        diag_gens = np.array(diag, dtype=np.intp)
-        diag_vals = vals[diag, j].real.reshape(-1, 1)
+        for p, part in enumerate(parts):
+            for r, nz in enumerate(nonzero[p]):
+                gens[p, r, :nz.size] = nz
+                coefs[p, r, :nz.size, 0] = part[nz, r]
         for arr in (diag_gens, diag_vals, gens, coefs):
             arr.setflags(write=False)
-        tables.append((diag_gens, diag_vals, gens, coefs))
-    return tuple(tables)
+        columns.append((diag_gens, diag_vals, gens, coefs))
+    signs = np.asarray(pt_sign_vector(tag), dtype=np.float64)
+    signs.setflags(write=False)
+    return tuple(columns), signs
 
 
 def _positive_lanes(X: np.ndarray, tables) -> np.ndarray:
@@ -172,8 +144,7 @@ def _positive_lanes(X: np.ndarray, tables) -> np.ndarray:
 def count_tallies(pts: np.ndarray, tag: str):
     """Count (n_positive, n_separable-by-PPT) over a (n, m) batch of points."""
     case = get_case(tag)
-    signs = case_tables(case.tag)[2][:, None]
-    tables = column_tables(case.tag)
+    tables, signs = case_tables(case.tag)
     pts = np.asarray(pts, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != case.num_coeffs:
         raise ValueError(
@@ -185,5 +156,5 @@ def count_tallies(pts: np.ndarray, tag: str):
         pos = _positive_lanes(np.ascontiguousarray(pts[lo : lo + _TILE].T), tables)
         if pos.shape[1]:
             npos += pos.shape[1]
-            nsep += _positive_lanes(pos * signs, tables).shape[1]
+            nsep += _positive_lanes(pos * signs[:, None], tables).shape[1]
     return npos, nsep

@@ -14,8 +14,15 @@ Ball sampling
 -------------
 A point uniform in the m-ball of radius r is drawn as z/|z| * r * u^(1/m)
 with z an m-vector of independent standard normals and u uniform on (0, 1);
-this is exactly uniform in any dimension.  Draw order per batch is fixed
-(normals first, then radial uniforms), which pins the byte-exact output.
+this is exactly uniform in any dimension.
+
+The draw loop
+-------------
+`ball_batches` is the one place that consumes a stream: it draws in
+consecutive batches of at most DRAW_BATCH points, each batch taking its
+normals first and then its radial uniforms.  That layout pins the
+byte-exact output, so `sample_ball` and the engine's chunks both iterate
+it, and a chunk's tally depends only on its stream and size.
 """
 
 from __future__ import annotations
@@ -24,8 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Largest batch materialized at once, to bound memory for big counts.
-_DRAW_BATCH = 1 << 16
+# Largest batch materialized at once, to bound memory for big counts.  Part
+# of the draw protocol: changing it changes every seeded tally.
+DRAW_BATCH = 1 << 16
 
 _U64 = 1 << 64
 
@@ -80,6 +88,15 @@ def ball_from_draws(normals: np.ndarray, uniforms: np.ndarray, radius: float) ->
     return normals * scale[:, None]
 
 
+def ball_batches(dim: int, radius: float, rng: np.random.Generator, count: int):
+    """Yield ``count`` ball points from ``rng`` in batches of at most DRAW_BATCH rows."""
+    for lo in range(0, count, DRAW_BATCH):
+        n = min(DRAW_BATCH, count - lo)
+        z = rng.standard_normal((n, dim))
+        u = rng.random(n)
+        yield ball_from_draws(z, u, radius)
+
+
 def sample_ball(dim: int, radius: float, stream, count: int) -> np.ndarray:
     """Draw ``count`` points uniform in the closed dim-ball of given radius.
 
@@ -96,11 +113,6 @@ def sample_ball(dim: int, radius: float, stream, count: int) -> np.ndarray:
         raise ValueError(f"count must be >= 0, got {count}")
     rng = stream.generator() if isinstance(stream, StreamSpec) else stream
     out = np.empty((count, dim))
-    done = 0
-    while done < count:
-        n = min(_DRAW_BATCH, count - done)
-        z = rng.standard_normal((n, dim))
-        u = rng.random(n)
-        out[done : done + n] = ball_from_draws(z, u, radius)
-        done += n
+    for lo, pts in zip(range(0, count, DRAW_BATCH), ball_batches(dim, radius, rng, count)):
+        out[lo : lo + len(pts)] = pts
     return out

@@ -1,7 +1,11 @@
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import sepmc.states as states
 from sepmc import __version__, cli
@@ -132,10 +136,10 @@ class TestEstimateBadInput:
             "--chunk-size", "1000")
 
     @staticmethod
-    def assert_usage_error(code, out, err, needle):
+    def assert_usage_error(code, out, err, needle, command="estimate"):
         assert code == 1
         assert out == ""
-        assert err.count("\n") == 1 and err.startswith("sepmc estimate: error: ")
+        assert err.count("\n") == 1 and err.startswith(f"sepmc {command}: error: ")
         assert needle in err
         assert "Traceback" not in err
 
@@ -167,6 +171,53 @@ class TestEstimateBadInput:
         code, out, err = run_cli(capsys, *self.ARGV, "--checkpoint", str(path))
         self.assert_usage_error(code, out, err, needle)
         assert str(path) in err
+
+    @pytest.mark.parametrize("argv, path, reason", [
+        (ARGV + ("--checkpoint",), "", "Is a directory"),
+        (ARGV + ("--checkpoint",), "missing/run.ckpt", "No such file or directory"),
+        (ARGV + ("--out",), "missing/result.json", "No such file or directory"),
+        (("conjecture", "--alpha", "1", "--out"), "missing/result.json",
+         "No such file or directory"),
+    ], ids=["checkpoint-is-a-directory", "checkpoint-in-missing-directory",
+            "estimate-out-in-missing-directory", "conjecture-out-in-missing-directory"])
+    def test_unusable_path(self, capsys, tmp_path, argv, path, reason):
+        target = tmp_path / path
+        code, out, err = run_cli(capsys, *argv, str(target))
+        self.assert_usage_error(code, out, err, str(target), command=argv[0])
+        assert reason in err
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    samples=st.integers(-1, 4000),
+    chunk_size=st.integers(-1, 5000),
+    seed=st.integers(-1, 2**64),
+    workers=st.sampled_from(["-1", "0", "1", "2", "auto"]),
+    checkpoint_every=st.integers(-1, 3),
+)
+@example(samples=4000, chunk_size=1000, seed=-1, workers="1", checkpoint_every=1)
+@example(samples=4000, chunk_size=1000, seed=2**64 - 1, workers="2", checkpoint_every=1)
+@example(samples=4000, chunk_size=1000, seed=2**64, workers="auto", checkpoint_every=0)
+def test_fuzzed_flags_give_a_document_or_one_error_line(
+    capsys, samples, chunk_size, seed, workers, checkpoint_every
+):
+    with tempfile.TemporaryDirectory() as tmp:
+        code, out, err = run_cli(
+            capsys, "estimate", "--case", "rebit", "--samples", str(samples),
+            "--chunk-size", str(chunk_size), "--seed", str(seed), "--workers", workers,
+            "--checkpoint", os.path.join(tmp, "run.ckpt"),
+            "--checkpoint-every", str(checkpoint_every),
+        )
+    valid = (samples >= 1 and chunk_size >= 1 and workers not in ("-1", "0")
+             and 0 <= seed < 2**64 and checkpoint_every >= 0)
+    if code == 0:
+        assert valid and err == ""
+        assert parse_doc(out)["n_total"] == -(-samples // chunk_size) * chunk_size
+    else:
+        assert code == (2 if valid else 1)  # 2: no positive sample in a small run
+        assert out == "" and err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 class TestSelftestCommand:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from sepmc import kernels
 from sepmc.engine import (
+    KERNEL_BATCH,
     Checkpoint,
     CheckpointError,
     NoPositiveSamplesError,
@@ -14,7 +15,6 @@ from sepmc.engine import (
     checkpoint_load,
     checkpoint_save,
     estimate,
-    merge,
     run_chunk,
 )
 from sepmc.sampler import derive_stream, sample_ball
@@ -34,16 +34,16 @@ class TestTallyCounts:
     def test_merge_identity_and_commutativity(self):
         a = TallyCounts(100, 40, 10)
         b = TallyCounts(50, 20, 9)
-        assert merge(a, TallyCounts.zero()) == a
-        assert merge(a, b) == merge(b, a) == TallyCounts(150, 60, 19)
+        assert a.merge(TallyCounts.zero()) == a
+        assert a.merge(b) == b.merge(a) == TallyCounts(150, 60, 19)
 
     def test_merge_associative(self):
         a, b, c = TallyCounts(1, 1, 0), TallyCounts(2, 1, 1), TallyCounts(3, 0, 0)
-        assert merge(merge(a, b), c) == merge(a, merge(b, c))
+        assert a.merge(b).merge(c) == a.merge(b.merge(c))
 
     def test_huge_counts_do_not_wrap(self):
         big = TallyCounts(2**62, 2**61, 2**60)
-        total = merge(big, big)
+        total = big.merge(big)
         assert total == TallyCounts(2**63, 2**62, 2**61)
         assert total.n_total > 0
 
@@ -82,6 +82,12 @@ class TestRunChunk:
                     if ppt_test(v):
                         n_sep += 1
             assert (t.n_positive, t.n_sep) == (n_pos, n_sep)
+        # chunks spanning one, two and three draw batches, scored by the kernel
+        for tag, case in CASES.items():
+            for n in (KERNEL_BATCH - 1, KERNEL_BATCH, KERNEL_BATCH + 1, 2 * KERNEL_BATCH + 1):
+                t = run_chunk(tag, derive_stream(77, 0, 0), n)
+                pts = sample_ball(case.num_coeffs, case.radius, derive_stream(77, 0, 0), n)
+                assert t == TallyCounts(n, *kernels.count_tallies(pts, tag)), (tag, n)
 
 
 class TestKernelBackends:
@@ -219,6 +225,8 @@ class TestEstimate:
             estimate("qubit", seed=0, n_total=10, workers=0)
         with pytest.raises(ValueError, match="chunk_size"):
             estimate("qubit", seed=0, n_total=10, chunk_size=0)
+        with pytest.raises(ValueError, match="checkpoint_every"):
+            estimate("qubit", seed=0, n_total=10, checkpoint_every=-3)
 
     def test_std_err_scaling(self):
         small = estimate("rebit", seed=11, n_total=100_000, workers=1, chunk_size=100_000)
