@@ -52,11 +52,11 @@ def q_poly(alpha: float) -> float:
 def f_term(alpha: float) -> float:
     """One series term, computed in log space to avoid gamma overflow.
 
-    Strictly positive for alpha >= 0; raises for alpha < 0 where the gamma
-    arguments can hit poles.
+    Strictly positive for finite alpha >= 0; raises for alpha < 0, where the
+    gamma arguments can hit poles, and for a NaN or infinite alpha.
     """
-    if alpha < 0:
-        raise ValueError(f"series term requires alpha >= 0, got {alpha}")
+    if not (math.isfinite(alpha) and alpha >= 0):
+        raise ValueError(f"series term requires finite alpha >= 0, got {alpha}")
     log_term = (
         math.log(q_poly(alpha))
         + (-4.0 * alpha - 6.0) * _LN2
@@ -85,8 +85,8 @@ def p_of_alpha(alpha: float, rel_tol: float = 1e-12) -> SeriesResult:
     Partial sums increase monotonically; the returned tail_bound satisfies
     tail_bound <= rel_tol * value.
     """
-    if alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
+    if not (math.isfinite(alpha) and alpha >= 0):
+        raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
     if not (MIN_REL_TOL <= rel_tol <= MAX_REL_TOL):
         raise ValueError(
             f"rel_tol must lie in [{MIN_REL_TOL:g}, {MAX_REL_TOL:g}], got {rel_tol}"

@@ -107,8 +107,8 @@ def sample_ball(dim: int, radius: float, stream, count: int) -> np.ndarray:
     """
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
-    if radius <= 0:
-        raise ValueError(f"radius must be > 0, got {radius}")
+    if not (np.isfinite(radius) and radius > 0):
+        raise ValueError(f"radius must be finite and > 0, got {radius}")
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     rng = stream.generator() if isinstance(stream, StreamSpec) else stream

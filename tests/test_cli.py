@@ -186,6 +186,11 @@ class TestEstimateBadInput:
         self.assert_usage_error(code, out, err, str(target), command=argv[0])
         assert reason in err
 
+    @pytest.mark.parametrize("alpha", ["nan", "inf"])
+    def test_non_finite_alpha(self, capsys, alpha):
+        code, out, err = run_cli(capsys, "conjecture", "--alpha", alpha)
+        self.assert_usage_error(code, out, err, "alpha", command="conjecture")
+
 
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])

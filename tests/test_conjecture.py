@@ -58,8 +58,9 @@ class TestTerm:
             assert f_term(a) == pytest.approx(f_term_direct(a), rel=1e-10)
 
     def test_negative_alpha_rejected(self):
-        with pytest.raises(ValueError, match="alpha"):
-            f_term(-0.25)
+        for alpha in (-0.25, math.nan, math.inf):
+            with pytest.raises(ValueError, match="alpha"):
+                f_term(alpha)
 
     def test_ratio_limit(self):
         assert f_term(51.0) / f_term(50.0) == pytest.approx(RATIO_LIMIT, rel=0.01)
@@ -106,8 +107,9 @@ class TestSeries:
         assert abs(res.value - 8 / 33) < 1e-6
 
     def test_domain_validation(self):
-        with pytest.raises(ValueError, match="alpha"):
-            p_of_alpha(-1.0)
+        for alpha in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="alpha"):
+                p_of_alpha(alpha)
         with pytest.raises(ValueError, match="rel_tol"):
             p_of_alpha(1.0, 0.0)
         with pytest.raises(ValueError, match="rel_tol"):

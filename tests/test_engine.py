@@ -1,4 +1,5 @@
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,7 +19,15 @@ from sepmc.engine import (
     run_chunk,
 )
 from sepmc.sampler import derive_stream, sample_ball
-from sepmc.states import CASES, CoeffVector, density_to_coeffs, is_positive, ppt_test
+from sepmc.states import (
+    CASES,
+    CoeffVector,
+    coeffs_to_density,
+    density_to_coeffs,
+    is_positive,
+    ppt_test,
+    pt_sign_vector,
+)
 
 
 class TestTallyCounts:
@@ -186,6 +195,93 @@ class TestKernelAgainstEigenvalueRoute:
         pts, kernel, _ = _scored_points(tag)
         expected = tuple(int(x) for x in kernel.sum(axis=0))
         assert kernels.count_tallies(np.concatenate([dead, pts]), tag) == expected
+
+
+def _assemble(tables, Y):
+    """Real and imaginary lower triangle of rho, shape (2, d, d, lanes), run from the tables."""
+    d = len(tables)
+    rho = np.zeros((2, d, d, Y.shape[1]))
+    for j, (diag, lower) in enumerate(tables):
+        (op, a), *rest = diag
+        rho[0, j, j] = op(1.0 / d, Y[a])
+        for op, a in rest:
+            op(rho[0, j, j], Y[a], out=rho[0, j, j])
+        for p, i, op, a, b in lower:
+            op(Y[a], Y[b], out=rho[p, i, j])
+    return rho
+
+
+class TestCaseTables:
+    """The invariant the kernel's exactness rests on: one magnitude, signed row sums."""
+
+    @pytest.mark.parametrize("tag, kappa", [
+        ("rebit", 0.5), ("qubit", 0.5), ("quaterbit", 1 / (2 * np.sqrt(2))),
+    ])
+    def test_one_coefficient_magnitude(self, tag, kappa):
+        assert kernels.case_tables(tag)[0] == pytest.approx(kappa, rel=1e-15)
+
+    @pytest.mark.parametrize("tag", sorted(CASES))
+    def test_signs_are_the_basis_signs_and_pt_flips_them(self, tag):
+        # lane g holds the unit vector e_g, so each assembled entry is the
+        # sign (0 or +-1) with which generator g enters it, plus 1/d on the diagonal
+        case = CASES[tag]
+        _, tables, pt_tables = kernels.case_tables(tag)
+        d, m = case.dim, case.num_coeffs
+        lower = np.tril(np.ones((d, d), dtype=bool))
+        signs = np.sign(np.stack([case.basis.real, case.basis.imag])).transpose(0, 2, 3, 1)
+        signs[:, ~lower] = 0
+        eye = np.zeros((2, d, d, 1))
+        eye[0] = np.eye(d)[..., None] / d
+        pt = pt_sign_vector(tag)
+        np.testing.assert_array_equal(_assemble(tables, np.eye(m)), signs + eye)
+        np.testing.assert_array_equal(_assemble(pt_tables, np.eye(m)), signs * pt + eye)
+
+    @pytest.mark.parametrize("tag", sorted(CASES))
+    def test_kappa_scaled_rows_assemble_rho(self, tag):
+        case = CASES[tag]
+        kappa, tables, pt_tables = kernels.case_tables(tag)
+        c = sample_ball(case.num_coeffs, case.radius, derive_stream(4, 0, 0), 5)
+        for tab, pts in ((tables, c), (pt_tables, c * pt_sign_vector(tag))):
+            rho = _assemble(tab, kappa * c.T)
+            for r, row in enumerate(pts):
+                want = np.tril(coeffs_to_density(CoeffVector(case, row)))
+                np.testing.assert_allclose(rho[0, ..., r] + 1j * rho[1, ..., r], want, atol=1e-15)
+
+    @pytest.mark.parametrize("doctor, needle", [
+        (lambda b: b.__setitem__(0, 2 * b[0]), "magnitudes"),
+        # generator 0 also enters rho[3, 0] (and rho[0, 3]), which has two already
+        (lambda b: (b[0].__setitem__((3, 0), 0.5), b[0].__setitem__((0, 3), 0.5)), "generators"),
+        (lambda b: b[:, 0, 0].fill(0), "diagonal"),
+    ], ids=["two-magnitudes", "three-generators-below-diagonal", "empty-diagonal"])
+    def test_unassemblable_basis_rejected(self, monkeypatch, doctor, needle):
+        basis = CASES["qubit"].basis.copy()
+        doctor(basis)
+        monkeypatch.setattr(kernels, "get_case", lambda tag: SimpleNamespace(basis=basis))
+        with pytest.raises(ValueError, match=f"qubit: .*{needle}"):
+            kernels.case_tables.__wrapped__("qubit")
+
+
+class TestSeededTallies:
+    """Seeded tallies recorded from the kernel; any change to a verdict moves them."""
+
+    @pytest.mark.parametrize("tag, expected", [
+        ("rebit", (200_000, 369, 156)),
+        ("qubit", (200_000, 7, 1)),
+        ("quaterbit", (200_000, 0, 0)),
+    ])
+    def test_ball_chunk(self, tag, expected):
+        assert run_chunk(tag, derive_stream(2024, 0, 0), 200_000) == TallyCounts(*expected)
+
+    @pytest.mark.parametrize("tag, factor, expected", [
+        ("rebit", 0.6, (2864, 1513)),
+        ("qubit", 0.5, (5781, 2848)),
+        ("quaterbit", 0.3, (8081, 4059)),
+    ])
+    def test_shrunk_ball(self, tag, factor, expected):
+        # shrinking the ball makes most points states, so both passes run deep
+        case = CASES[tag]
+        pts = sample_ball(case.num_coeffs, case.radius, derive_stream(2024, 0, 1), 20_000)
+        assert kernels.count_tallies(pts * factor, tag) == expected
 
 
 class TestEstimate:

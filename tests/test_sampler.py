@@ -59,6 +59,9 @@ class TestSampleBall:
             sample_ball(3, 0.0, s, 10)
         with pytest.raises(ValueError, match="radius"):
             sample_ball(3, -2.0, s, 10)
+        for radius in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="radius"):
+                sample_ball(3, radius, s, 10)
         with pytest.raises(ValueError, match="count"):
             sample_ball(3, 1.0, s, -1)
 
