@@ -1,9 +1,11 @@
 """Command line front end: estimate, conjecture, selftest.
 
-Exit codes: 0 success, 1 usage error, 2 numeric or internal failure.
-Result documents are JSON with a fixed, versioned field order so runs can
-be diffed; every numeric field except wall_time_s is reproducible from the
-flags and seed alone.
+Exit codes: 0 success, 1 usage error, 2 numeric or internal failure.  Each
+flag is checked by its argparse type and `main` alone maps exceptions to
+exit codes, so every error is one stderr line naming the flag, path or
+field.  Result documents are JSON with a fixed, versioned field order so
+runs can be diffed; every numeric field except wall_time_s is reproducible
+from the flags and seed alone.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import time
 from . import __version__
 from .conjecture import p_of_alpha
 from .engine import DEFAULT_CHUNK_SIZE, CheckpointError, NoPositiveSamplesError, estimate
+from .sampler import derive_stream
 from .selftest import run_selftest
 from .states import CASES
 
@@ -30,18 +33,35 @@ EXIT_FAILURE = 2
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on bad flags; the contract here is exit 1."""
+    """argparse prints a usage dump and exits 2 on bad flags; here it is one line, exit 1."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
 
-def _workers_arg(value: str):
-    if value == "auto":
-        return None
-    return int(value)
+def _count(low: int):
+    """argparse type: an integer >= low."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return value
+    return parse
+
+
+def _workers(text: str):
+    return None if text == "auto" else _count(1)(text)
+
+
+def _seed(text: str) -> int:
+    try:
+        return derive_stream(int(text), 0, 0).seed
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -59,14 +79,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     est = sub.add_parser("estimate", help="run the Monte Carlo estimator")
     est.add_argument("--case", required=True, choices=sorted(CASES))
-    est.add_argument("--samples", type=int, required=True, help="total ball samples")
-    est.add_argument("--seed", type=int, default=0)
-    est.add_argument("--workers", type=_workers_arg, default=None,
+    est.add_argument("--samples", type=_count(1), required=True, help="total ball samples")
+    est.add_argument("--seed", type=_seed, default=0)
+    est.add_argument("--workers", type=_workers, default=None,
                      help="worker processes, or 'auto' (default)")
-    est.add_argument("--chunk-size", type=int, default=DEFAULT_CHUNK_SIZE)
+    est.add_argument("--chunk-size", type=_count(1), default=DEFAULT_CHUNK_SIZE)
     est.add_argument("--checkpoint", default=None, metavar="PATH",
                      help="checkpoint file to write and resume from")
-    est.add_argument("--checkpoint-every", type=int, default=1, metavar="K",
+    est.add_argument("--checkpoint-every", type=_count(0), default=1, metavar="K",
                      help="checkpoint every K completed chunks (0: never write)")
     est.add_argument("--out", default=None, metavar="PATH",
                      help="also write the result document to PATH")
@@ -90,42 +110,17 @@ def _emit(doc: dict, out_path):
 
 
 def cmd_estimate(args) -> int:
-    if args.samples < 1:
-        print("sepmc estimate: error: --samples must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
-    if args.chunk_size < 1:
-        print("sepmc estimate: error: --chunk-size must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
-    if args.workers is not None and args.workers < 1:
-        print("sepmc estimate: error: --workers must be >= 1 or 'auto'", file=sys.stderr)
-        return EXIT_USAGE
-    if not 0 <= args.seed < 2**64:
-        print("sepmc estimate: error: --seed must be in [0, 2**64)", file=sys.stderr)
-        return EXIT_USAGE
-    if args.checkpoint_every < 0:
-        print("sepmc estimate: error: --checkpoint-every must be >= 0", file=sys.stderr)
-        return EXIT_USAGE
     alpha = CASE_ALPHA[args.case]
-    try:
-        res = estimate(
-            args.case,
-            seed=args.seed,
-            n_total=args.samples,
-            workers=args.workers,
-            chunk_size=args.chunk_size,
-            checkpoint_path=args.checkpoint,
-            checkpoint_every=args.checkpoint_every,
-        )
-        conj = p_of_alpha(alpha, 1e-12)
-    except (NoPositiveSamplesError, ArithmeticError) as exc:
-        print(f"sepmc estimate: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
-    except CheckpointError as exc:
-        print(f"sepmc estimate: error: checkpoint {args.checkpoint}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
-        print(f"sepmc estimate: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    res = estimate(
+        args.case,
+        seed=args.seed,
+        n_total=args.samples,
+        workers=args.workers,
+        chunk_size=args.chunk_size,
+        checkpoint_path=args.checkpoint,
+        checkpoint_every=args.checkpoint_every,
+    )
+    conj = p_of_alpha(alpha, 1e-12)
     doc = {
         "schema": RESULT_SCHEMA,
         "command": "estimate",
@@ -149,14 +144,7 @@ def cmd_estimate(args) -> int:
 
 def cmd_conjecture(args) -> int:
     t0 = time.perf_counter()
-    try:
-        res = p_of_alpha(args.alpha, args.rel_tol)
-    except ValueError as exc:
-        print(f"sepmc conjecture: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ArithmeticError as exc:
-        print(f"sepmc conjecture: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
+    res = p_of_alpha(args.alpha, args.rel_tol)
     doc = {
         "schema": RESULT_SCHEMA,
         "command": "conjecture",
@@ -198,8 +186,15 @@ def main(argv=None) -> int:
         return handler(args)
     except OSError as exc:
         # An unusable --checkpoint or --out path.
-        print(f"sepmc {args.command}: error: {exc.filename}: {exc.strerror}", file=sys.stderr)
-        return EXIT_USAGE
+        code, message = EXIT_USAGE, f"error: {exc.filename}: {exc.strerror}"
+    except CheckpointError as exc:
+        code, message = EXIT_USAGE, f"error: checkpoint {args.checkpoint}: {exc}"
+    except ValueError as exc:
+        code, message = EXIT_USAGE, f"error: {exc}"
+    except (NoPositiveSamplesError, ArithmeticError) as exc:
+        code, message = EXIT_FAILURE, str(exc)
+    print(f"sepmc {args.command}: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

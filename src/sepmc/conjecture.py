@@ -20,6 +20,7 @@ alpha = 2 -> 26/323.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 # poly coefficients, ascending order
@@ -83,7 +84,9 @@ def p_of_alpha(alpha: float, rel_tol: float = 1e-12) -> SeriesResult:
     """Sum the series at alpha until the geometric tail bound meets rel_tol.
 
     Partial sums increase monotonically; the returned tail_bound satisfies
-    tail_bound <= rel_tol * value.
+    tail_bound <= rel_tol * value.  Raises ArithmeticError when the first
+    term is not a normal double (alpha from about 816 up), since a subnormal
+    sum carries only a few significant digits.
     """
     if not (math.isfinite(alpha) and alpha >= 0):
         raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
@@ -93,6 +96,11 @@ def p_of_alpha(alpha: float, rel_tol: float = 1e-12) -> SeriesResult:
         )
     total = 0.0
     term = f_term(alpha)
+    if term < sys.float_info.min:
+        raise ArithmeticError(
+            f"series term underflows at alpha={alpha}: {term!r} is below the "
+            f"smallest normal double {sys.float_info.min!r}"
+        )
     for i in range(1, _MAX_TERMS + 1):
         total += term
         nxt = f_term(alpha + i)

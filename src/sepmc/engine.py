@@ -9,12 +9,11 @@ chunks were scheduled over workers.
 
 from __future__ import annotations
 
-import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import partial
 
 import numpy as np
@@ -111,27 +110,42 @@ class Checkpoint:
     tally: TallyCounts
 
 
-_CHECKPOINT_FIELDS = (
-    "version", "case", "seed", "chunk_size", "chunks_done",
-    "n_total", "n_positive", "n_sep",
-)
+def _at_least(low: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise ValueError(f"must be >= {low}, got {value}")
+        return value
+    return parse
+
+
+def _version(text: str) -> int:
+    if int(text) != CHECKPOINT_VERSION:
+        raise ValueError(f"expected {CHECKPOINT_VERSION}, got {text}")
+    return CHECKPOINT_VERSION
+
+
+# The checkpoint's 'key value' lines in file order, each with its value's parser.
+_CHECKPOINT_FIELDS = {
+    "version": _version,
+    "case": lambda text: get_case(text).tag,
+    "seed": lambda text: derive_stream(int(text), 0, 0).seed,
+    "chunk_size": _at_least(1),
+    "chunks_done": _at_least(0),
+    "n_total": int,
+    "n_positive": int,
+    "n_sep": int,
+}
 
 
 def checkpoint_save(state: Checkpoint, path) -> None:
     """Write a checkpoint as line-oriented 'key value' text (atomic rename)."""
-    lines = [
-        f"version {CHECKPOINT_VERSION}",
-        f"case {state.case_tag}",
-        f"seed {state.seed}",
-        f"chunk_size {state.chunk_size}",
-        f"chunks_done {state.chunks_done}",
-        f"n_total {state.tally.n_total}",
-        f"n_positive {state.tally.n_positive}",
-        f"n_sep {state.tally.n_sep}",
-    ]
+    values = (CHECKPOINT_VERSION, state.case_tag, state.seed, state.chunk_size,
+              state.chunks_done, *astuple(state.tally))
     tmp = f"{path}.tmp"
     with open(tmp, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.writelines(f"{key} {value}\n"
+                      for key, value in zip(_CHECKPOINT_FIELDS, values, strict=True))
     os.replace(tmp, path)
 
 
@@ -150,36 +164,23 @@ def checkpoint_load(path) -> Checkpoint:
         parts = line.split(None, 1)
         if len(parts) != 2:
             raise CheckpointError(f"line {lineno}: expected 'key value', got {line!r}")
-        fields[parts[0]] = parts[1]
+        key, value = parts
+        if key not in _CHECKPOINT_FIELDS or key in fields:
+            problem = "repeated" if key in fields else "unknown"
+            raise CheckpointError(f"line {lineno}: {problem} field {key!r}")
+        fields[key] = value
     for key in _CHECKPOINT_FIELDS:
         if key not in fields:
             raise CheckpointError(f"missing field {key!r}")
-    def _int(key):
+    values = []
+    for key, parse in _CHECKPOINT_FIELDS.items():
         try:
-            return int(fields[key])
-        except ValueError:
-            raise CheckpointError(f"field {key!r} is not an integer: {fields[key]!r}") from None
-    version = _int("version")
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"field 'version': expected {CHECKPOINT_VERSION}, got {version}"
-        )
-    tag = fields["case"]
+            values.append(parse(fields[key]))
+        except ValueError as exc:
+            raise CheckpointError(f"field {key!r}: {exc}") from None
+    _, tag, seed, chunk_size, chunks_done, *counts = values
     try:
-        get_case(tag)
-    except ValueError as exc:
-        raise CheckpointError(f"field 'case': {exc}") from None
-    seed = _int("seed")
-    if not 0 <= seed < 1 << 64:
-        raise CheckpointError(f"field 'seed': must be in [0, 2**64), got {seed}")
-    chunk_size = _int("chunk_size")
-    if chunk_size < 1:
-        raise CheckpointError(f"field 'chunk_size': must be >= 1, got {chunk_size}")
-    chunks_done = _int("chunks_done")
-    if chunks_done < 0:
-        raise CheckpointError(f"field 'chunks_done': must be >= 0, got {chunks_done}")
-    try:
-        tally = TallyCounts(_int("n_total"), _int("n_positive"), _int("n_sep"))
+        tally = TallyCounts(*counts)
     except ValueError as exc:
         raise CheckpointError(f"field 'n_total/n_positive/n_sep': {exc}") from None
     if tally.n_total != chunks_done * chunk_size:
@@ -217,22 +218,21 @@ def estimate(
         raise ValueError(f"workers must be >= 1, got {workers}")
     if checkpoint_every < 0:
         raise ValueError(f"checkpoint_every must be >= 0, got {checkpoint_every}")
+    derive_stream(seed, 0, 0)  # raises ValueError for a bad seed
 
     t_start = time.perf_counter()
-    n_chunks = math.ceil(n_total / chunk_size)
+    n_chunks = -(-n_total // chunk_size)
     start_chunk = 0
     tally = TallyCounts.zero()
 
     if checkpoint_path and os.path.exists(checkpoint_path):
         ck = checkpoint_load(checkpoint_path)
-        if ck.case_tag != case.tag:
-            raise CheckpointError(f"field 'case': checkpoint is for {ck.case_tag!r}, not {case.tag!r}")
-        if ck.seed != seed:
-            raise CheckpointError(f"field 'seed': checkpoint has {ck.seed}, run uses {seed}")
-        if ck.chunk_size != chunk_size:
-            raise CheckpointError(
-                f"field 'chunk_size': checkpoint has {ck.chunk_size}, run uses {chunk_size}"
-            )
+        for field, theirs, ours in (("case", ck.case_tag, case.tag), ("seed", ck.seed, seed),
+                                    ("chunk_size", ck.chunk_size, chunk_size)):
+            if theirs != ours:
+                raise CheckpointError(
+                    f"field {field!r}: checkpoint has {theirs!r}, run uses {ours!r}"
+                )
         if ck.chunks_done > n_chunks:
             raise CheckpointError(
                 f"field 'chunks_done': checkpoint has {ck.chunks_done} chunks, "

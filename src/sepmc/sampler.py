@@ -27,6 +27,7 @@ it, and a chunk's tally depends only on its stream and size.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,8 +35,6 @@ import numpy as np
 # Largest batch materialized at once, to bound memory for big counts.  Part
 # of the draw protocol: changing it changes every seeded tally.
 DRAW_BATCH = 1 << 16
-
-_U64 = 1 << 64
 
 
 @dataclass(frozen=True)
@@ -47,8 +46,12 @@ class StreamSpec:
     chunk: int
 
     def __post_init__(self):
-        if not (0 <= self.seed < _U64):
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
+        try:
+            valid = 0 <= operator.index(self.seed) < 1 << 64
+        except TypeError:
+            valid = False
+        if not valid:
+            raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
         if self.worker < 0 or self.chunk < 0:
             raise ValueError("worker and chunk indices must be non-negative")
 
@@ -62,7 +65,7 @@ class StreamSpec:
 
 def derive_stream(seed: int, worker: int, chunk: int) -> StreamSpec:
     """Injective (seed, worker, chunk) -> stream mapping."""
-    return StreamSpec(int(seed), int(worker), int(chunk))
+    return StreamSpec(seed, worker, chunk)
 
 
 # Radial uniforms are clamped to [tiny, 1 - 2^-40].  The lower clamp keeps

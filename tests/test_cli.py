@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -49,6 +51,12 @@ class TestConjectureCommand:
         code, _, err = run_cli(capsys, "conjecture", "--alpha", "1", "--rel-tol", "0.5")
         assert code == 1
         assert "rel_tol" in err
+
+    def test_underflowing_alpha_is_numeric_failure(self, capsys):
+        code, out, err = run_cli(capsys, "conjecture", "--alpha", "870")
+        assert code == 2
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("sepmc conjecture: ") and "alpha=870" in err
 
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "conj.json"
@@ -147,12 +155,37 @@ class TestEstimateBadInput:
         (("--seed", "-1"), "--seed"),
         (("--seed", str(2**64)), "--seed"),
         (("--checkpoint-every", "-3"), "--checkpoint-every"),
-    ], ids=["seed-negative", "seed-2**64", "checkpoint-every-negative"])
+        (("--case", "qutrit"), "--case"),
+        (("--samples", "x"), "--samples"),
+        (("--samples", "0"), "--samples"),
+        (("--chunk-size", "0"), "--chunk-size"),
+        (("--workers", "0"), "--workers"),
+        (("--workers", "x"), "--workers"),
+        (("--samples", None), "--samples"),
+    ], ids=["seed-negative", "seed-2**64", "checkpoint-every-negative", "case-unknown",
+            "samples-not-an-integer", "samples-zero", "chunk-size-zero", "workers-zero",
+            "workers-not-an-integer", "samples-missing"])
     def test_out_of_range_flag(self, capsys, tmp_path, flags, needle):
         path = tmp_path / "run.ckpt"
-        code, out, err = run_cli(capsys, *self.ARGV, "--checkpoint", str(path), *flags)
+        argv = [*self.ARGV, "--checkpoint", str(path)]
+        flag, value = flags
+        if value is None:  # the flag left out altogether
+            del argv[argv.index(flag):argv.index(flag) + 2]
+        else:
+            argv += flags
+        code, out, err = run_cli(capsys, *argv)
         self.assert_usage_error(code, out, err, needle)
         assert not path.exists()
+
+    def test_module_entry_point(self):
+        # the `python -m sepmc.cli` entry point, `sys.exit(main())`, in a fresh interpreter
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "sepmc.cli", "estimate", "--case", "qutrit", "--samples", "10"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120,
+        )
+        self.assert_usage_error(proc.returncode, proc.stdout, proc.stderr, "--case")
 
     @pytest.mark.parametrize("content, needle", [
         (b"version 1\ncase rebit\nseed zero\n", "missing field"),
@@ -164,7 +197,12 @@ class TestEstimateBadInput:
         (b"version 1\ncase rebit\nseed 0\nchunk_size 1000\nchunks_done 50\n"
          b"n_total 50000\nn_positive 0\nn_sep 0\n", "chunks_done"),
         (bytes(range(256)), "not a text file"),
-    ], ids=["truncated", "garbage-value", "inconsistent-n_total", "chunks-beyond-run", "binary"])
+        (b"version 1\ncase rebit\nseed 0\nchunk_size 1000\nchunks_done 1\n"
+         b"n_total 1000\nn_positive 9\nn_sep 3\nn_positive 9\n", "n_positive"),
+        (b"version 1\ncase rebit\nseed 0\nchunk_size 1000\nchunks_done 1\n"
+         b"n_total 1000\nn_positive 9\nn_sep 3\nbogus 1\n", "bogus"),
+    ], ids=["truncated", "garbage-value", "inconsistent-n_total", "chunks-beyond-run", "binary",
+            "repeated-key", "unknown-key"])
     def test_bad_checkpoint_file(self, capsys, tmp_path, content, needle):
         path = tmp_path / "run.ckpt"
         path.write_bytes(content)

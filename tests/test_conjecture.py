@@ -120,6 +120,18 @@ class TestSeries:
         p_of_alpha(1.0, MIN_REL_TOL)
         p_of_alpha(1.0, MAX_REL_TOL)
 
+    @pytest.mark.parametrize("alpha", [850.0, 870.0])
+    def test_underflowing_first_term_rejected(self, alpha):
+        # f_term(850) is subnormal (about 3 significant digits), f_term(870) is 0.0
+        with pytest.raises(ArithmeticError, match="alpha=") as info:
+            p_of_alpha(alpha)
+        assert not isinstance(info.value, ZeroDivisionError)
+
+    def test_last_normal_first_term_keeps_its_value(self):
+        res = p_of_alpha(800.0)
+        assert res.value == 3.752139700655582e-302
+        assert res.terms_used == 32
+
     def test_generic_alpha_values_evaluate(self):
         for alpha in (0.0, 0.25, 1.5, 3.0, 10.0):
             res = p_of_alpha(alpha, 1e-12)

@@ -314,7 +314,7 @@ class TestEstimate:
         with pytest.raises(NoPositiveSamplesError, match="no positive samples"):
             estimate("quaterbit", seed=0, n_total=4000, workers=1, chunk_size=2000)
 
-    def test_argument_validation(self):
+    def test_argument_validation(self, tmp_path):
         with pytest.raises(ValueError, match="n_total"):
             estimate("qubit", seed=0, n_total=0)
         with pytest.raises(ValueError, match="workers"):
@@ -323,6 +323,12 @@ class TestEstimate:
             estimate("qubit", seed=0, n_total=10, chunk_size=0)
         with pytest.raises(ValueError, match="checkpoint_every"):
             estimate("qubit", seed=0, n_total=10, checkpoint_every=-3)
+        # a float seed must neither run seed 1's streams nor reach a checkpoint file
+        path = tmp_path / "run.ckpt"
+        with pytest.raises(ValueError, match="seed"):
+            estimate("rebit", seed=1.5, n_total=10, workers=1, chunk_size=10,
+                     checkpoint_path=path, checkpoint_every=1)
+        assert not path.exists()
 
     def test_std_err_scaling(self):
         small = estimate("rebit", seed=11, n_total=100_000, workers=1, chunk_size=100_000)
@@ -418,6 +424,26 @@ class TestCheckpoint:
         self._write(path, **{field: value})
         with pytest.raises(CheckpointError, match=field):
             checkpoint_load(path)
+
+    @pytest.mark.parametrize("extra_line", ["n_positive 9", "bogus 1"])
+    def test_repeated_or_unknown_key_rejected(self, tmp_path, extra_line):
+        path = tmp_path / "run.ckpt"
+        self._write(path)
+        with open(path, "a") as fh:
+            fh.write(extra_line + "\n")
+        with pytest.raises(CheckpointError, match=extra_line.split()[0]):
+            checkpoint_load(path)
+
+    def test_chunk_count_exact_beyond_float_precision(self, tmp_path):
+        # 2**53 + 1 one-draw chunks: a float ceiling would count 2**53
+        path = tmp_path / "run.ckpt"
+        n = 2**53 + 1
+        ck = Checkpoint("rebit", 0, 1, n, TallyCounts(n, 10, 5))
+        checkpoint_save(ck, path)
+        res = estimate("rebit", seed=0, n_total=n, workers=1, chunk_size=1,
+                       checkpoint_path=path, checkpoint_every=1)
+        assert res.tally == ck.tally
+        assert checkpoint_load(path) == ck
 
     def test_binary_file_rejected(self, tmp_path):
         path = tmp_path / "run.ckpt"

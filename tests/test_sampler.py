@@ -24,6 +24,10 @@ class TestStreamSpec:
             StreamSpec(-1, 0, 0)
         with pytest.raises(ValueError, match="seed"):
             StreamSpec(1 << 64, 0, 0)
+        with pytest.raises(ValueError, match="seed"):
+            StreamSpec(1.5, 0, 0)
+        with pytest.raises(ValueError, match="seed"):
+            derive_stream(1.5, 0, 0)
         with pytest.raises(ValueError, match="non-negative"):
             StreamSpec(0, -1, 0)
         with pytest.raises(ValueError, match="non-negative"):
