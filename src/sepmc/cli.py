@@ -17,7 +17,13 @@ import time
 
 from . import __version__
 from .conjecture import p_of_alpha
-from .engine import DEFAULT_CHUNK_SIZE, CheckpointError, NoPositiveSamplesError, estimate
+from .engine import (
+    DEFAULT_CHUNK_SIZE,
+    CheckpointError,
+    NoPositiveSamplesError,
+    estimate,
+    write_text,
+)
 from .sampler import derive_stream
 from .selftest import run_selftest
 from .states import CASES
@@ -104,8 +110,7 @@ def _emit(doc: dict, out_path):
     """Write the document to out_path first, so a failed write prints nothing."""
     text = json.dumps(doc, indent=2)
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text + "\n")
+        write_text(out_path, text + "\n")
     print(text)
 
 

@@ -41,6 +41,11 @@ _MAX_TERMS = 10_000
 _LN2 = math.log(2.0)
 _LN3 = math.log(3.0)
 
+# term(a) < term(a mod 1) * RATIO_LIMIT**floor(a) and term < 0.76 on [0, 1),
+# so from here on every term is below 2**-1075, half the smallest subnormal,
+# and rounds to 0.0 (the log-space evaluation reaches 0.0 from about 858).
+_TERM_ZERO_FROM = 1.0 + 1075.0 * _LN2 / -math.log(RATIO_LIMIT)
+
 
 def q_poly(alpha: float) -> float:
     """Degree-5 series polynomial, evaluated in Horner form."""
@@ -53,11 +58,16 @@ def q_poly(alpha: float) -> float:
 def f_term(alpha: float) -> float:
     """One series term, computed in log space to avoid gamma overflow.
 
-    Strictly positive for finite alpha >= 0; raises for alpha < 0, where the
-    gamma arguments can hit poles, and for a NaN or infinite alpha.
+    Positive until it underflows to 0.0 near alpha = 858.  From
+    _TERM_ZERO_FROM on it returns 0.0 unevaluated, so it stays finite where
+    q_poly (alpha about 1e61) and lgamma (about 1e305) would overflow.
+    Raises for alpha < 0, where the gamma arguments can hit poles, and for a
+    NaN or infinite alpha.
     """
     if not (math.isfinite(alpha) and alpha >= 0):
         raise ValueError(f"series term requires finite alpha >= 0, got {alpha}")
+    if alpha >= _TERM_ZERO_FROM:
+        return 0.0
     log_term = (
         math.log(q_poly(alpha))
         + (-4.0 * alpha - 6.0) * _LN2
@@ -84,9 +94,9 @@ def p_of_alpha(alpha: float, rel_tol: float = 1e-12) -> SeriesResult:
     """Sum the series at alpha until the geometric tail bound meets rel_tol.
 
     Partial sums increase monotonically; the returned tail_bound satisfies
-    tail_bound <= rel_tol * value.  Raises ArithmeticError when the first
-    term is not a normal double (alpha from about 816 up), since a subnormal
-    sum carries only a few significant digits.
+    tail_bound <= rel_tol * value.  Raises ArithmeticError naming alpha when
+    the first term is not a finite normal double (alpha from about 816 up),
+    since a subnormal sum carries only a few significant digits.
     """
     if not (math.isfinite(alpha) and alpha >= 0):
         raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
@@ -96,10 +106,10 @@ def p_of_alpha(alpha: float, rel_tol: float = 1e-12) -> SeriesResult:
         )
     total = 0.0
     term = f_term(alpha)
-    if term < sys.float_info.min:
+    if not sys.float_info.min <= term <= sys.float_info.max:
         raise ArithmeticError(
-            f"series term underflows at alpha={alpha}: {term!r} is below the "
-            f"smallest normal double {sys.float_info.min!r}"
+            f"series term at alpha={alpha} is {term!r}, not a finite normal double "
+            f"(the smallest normal is {sys.float_info.min!r})"
         )
     for i in range(1, _MAX_TERMS + 1):
         total += term

@@ -10,6 +10,7 @@ chunks were scheduled over workers.
 from __future__ import annotations
 
 import os
+import stat
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
@@ -29,6 +30,10 @@ KERNEL_BATCH = DRAW_BATCH
 DEFAULT_CHUNK_SIZE = 1_000_000
 
 CHECKPOINT_VERSION = 1
+
+# A valid checkpoint is eight short lines (a rebit one is 92 bytes); a larger
+# file is refused after reading at most one byte more than this.
+CHECKPOINT_MAX_BYTES = 4096
 
 
 class NoPositiveSamplesError(RuntimeError):
@@ -138,23 +143,42 @@ _CHECKPOINT_FIELDS = {
 }
 
 
+def write_text(path, text: str) -> None:
+    """Write text to path; an OSError names path also when the write, not the open, fails."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        exc.filename = path
+        raise
+
+
 def checkpoint_save(state: Checkpoint, path) -> None:
     """Write a checkpoint as line-oriented 'key value' text (atomic rename)."""
     values = (CHECKPOINT_VERSION, state.case_tag, state.seed, state.chunk_size,
               state.chunks_done, *astuple(state.tally))
     tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
-        fh.writelines(f"{key} {value}\n"
-                      for key, value in zip(_CHECKPOINT_FIELDS, values, strict=True))
+    write_text(tmp, "".join(f"{key} {value}\n"
+                            for key, value in zip(_CHECKPOINT_FIELDS, values, strict=True)))
     os.replace(tmp, path)
 
 
 def checkpoint_load(path) -> Checkpoint:
-    """Parse a checkpoint file, raising CheckpointError naming any bad field."""
+    """Parse a checkpoint file, raising CheckpointError naming any bad field.
+
+    Only a regular file of at most CHECKPOINT_MAX_BYTES is read; a device,
+    FIFO or directory, or a larger file, is refused.
+    """
     fields = {}
+    # O_NONBLOCK: opening a FIFO must not wait for a writer
+    with open(path, "rb", opener=lambda p, flags: os.open(p, flags | os.O_NONBLOCK)) as fh:
+        if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            raise CheckpointError("not a regular file")
+        data = fh.read(CHECKPOINT_MAX_BYTES + 1)
+    if len(data) > CHECKPOINT_MAX_BYTES:
+        raise CheckpointError(f"larger than {CHECKPOINT_MAX_BYTES} bytes")
     try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+        lines = data.decode("utf-8").splitlines()
     except UnicodeDecodeError as exc:
         raise CheckpointError(f"not a text file: {exc}") from None
     for lineno, line in enumerate(lines, 1):
@@ -198,14 +222,16 @@ def estimate(
     workers: int = None,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     checkpoint_path=None,
-    checkpoint_every: int = 0,
+    checkpoint_every: int = 1,
 ) -> EstimateResult:
     """Estimate the conditional probability n_sep/n_positive over n_total draws.
 
     n_total is rounded up to whole chunks.  The tally is invariant under the
     worker count and any interrupt/resume through checkpoints; only wall
-    time varies.  Raises NoPositiveSamplesError when no draw was positive
-    (expected only for absurdly small n_total).
+    time varies.  With checkpoint_path the run resumes from that file if it
+    exists and rewrites it after every checkpoint_every completed chunks and
+    after the last one (0: never write).  Raises NoPositiveSamplesError when
+    no draw was positive (expected only for absurdly small n_total).
     """
     case = get_case(case)
     if n_total < 1:

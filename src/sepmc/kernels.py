@@ -16,12 +16,13 @@ kept as separate real and imaginary arrays.
 
 Assembly by signed adds.  `case_tables`, the one table builder, reads off
 the family's basis which rows of Y enter each entry of rho and with which
-sign, and compiles each entry into one operation on rows of Y: below the
-diagonal np.add or np.subtract of two rows, their negated sum, or a zero
-fill; on the diagonal 1/d followed by one add or subtract per generator.
-The partial transpose gets its own tables with the signs of
-`states.pt_sign_vector` folded in, so the PPT pass scores the positive
-lanes' rows of Y as they are, with no sign-flipped copy.
+sign, and compiles every entry into one program: start from 1/d on the
+diagonal or 0 below it, then one np.add or np.subtract of a row of Y per
+generator, in increasing generator index.  One evaluator runs these
+programs for the pivots and for the columns below them.  The partial
+transpose gets its own tables with the signs of `states.pt_sign_vector`
+folded in, so the PPT pass scores the positive lanes' rows of Y as they
+are, with no sign-flipped copy.
 
 Lazy, compacting factorization.  The factorization is left-looking: column
 j's diagonal pivot is assembled and reduced first, the lanes whose pivot is
@@ -34,17 +35,18 @@ is never built.
 Verdicts follow the per-sample algorithm operation by operation.  Each
 surviving lane performs the same IEEE operations in the same order: an
 entry is the sum of c_a * G_a[i, j] in increasing generator index, from 1/d
-on the diagonal; the pivot is rho[j, j] + tol minus re^2 + im^2 of L[j, k]
-for k ascending; an entry below it subtracts (ar*br + ai*bi, ai*br - ar*bi),
-the product L[i, k] * conj(L[j, k]), for k ascending; and it is scaled by
-1/L[j, j], which is what numpy's complex-by-real division computes.  The
-signed adds give every entry the bits of that sum: rounding is symmetric in
-sign, so c*(-kappa) = -(c*kappa), x + (-y) = x - y, (-x) + y = y - x and
-(-x) + (-y) = -(x + y), and only the sign of an exact zero can differ, which
-no later comparison or nonzero value sees.  Dropping lanes changes which
-lanes are computed, never the arithmetic of the ones that remain.  The
-arithmetic is real and unfused (no FMA), so a verdict depends neither on the
-machine nor on the point's position in its batch.
+on the diagonal and from 0 below it; the pivot is rho[j, j] + tol minus
+re^2 + im^2 of L[j, k] for k ascending; an entry below it subtracts
+(ar*br + ai*bi, ai*br - ar*bi), the product L[i, k] * conj(L[j, k]), for k
+ascending; and it is scaled by 1/L[j, j], which is what numpy's
+complex-by-real division computes.  The entry programs give every entry
+the bits of that sum: rounding is symmetric in sign, so c*(-kappa) =
+-(c*kappa), x + (-y) = x - y, 0 + y = y and 0 - y = -y, and only the sign
+of an exact zero can differ, which no later comparison or nonzero value
+sees.  Dropping lanes changes which lanes are computed, never the
+arithmetic of the ones that remain.  The arithmetic is real and unfused (no
+FMA), so a verdict depends neither on the machine nor on the point's
+position in its batch.
 """
 
 from __future__ import annotations
@@ -63,50 +65,20 @@ BACKEND = "numpy"
 _TILE = 4096
 
 
-def _negated_sum(x, y, out):
-    """out = -(x + y), which equals (-x) + (-y) exactly."""
-    np.add(x, y, out=out)
-    np.negative(out, out=out)
+def _program(init, signs):
+    """(init, ops) for one entry: init, then op(entry, Y[a]) for (op, a) in ops."""
+    return init, tuple((np.add if signs[a] > 0 else np.subtract, int(a))
+                       for a in np.flatnonzero(signs))
 
 
-def _zero(x, y, out):
-    """out = 0: an entry no generator enters."""
-    out.fill(0.0)
-
-
-def _below_entry(tag, signs):
-    """(op, a, b) with op(Y[a], Y[b]) equal to sum_a signs[a] * Y[a] summed in index order."""
-    gens = [int(a) for a in np.flatnonzero(signs)]
-    if not gens:
-        return _zero, 0, 0
-    if len(gens) != 2:
-        raise ValueError(
-            f"{tag}: an entry below the diagonal has {len(gens)} generators; "
-            "the kernel assembles entries of 0 or 2"
-        )
-    a, b = gens
-    if signs[a] > 0:
-        return (np.add if signs[b] > 0 else np.subtract), a, b
-    if signs[b] > 0:
-        return np.subtract, b, a  # (-Y[a]) + Y[b] == Y[b] - Y[a]
-    return _negated_sum, a, b
-
-
-def _column_tables(tag, signs):
-    """Per column j: (diag, lower) assembly programs for the signs (2, m, d, d) of one basis."""
+def _column_tables(signs):
+    """Per column j: (pivot, lower) entry programs for the signs (2, m, d, d) of one basis."""
     d = signs.shape[-1]
-    columns = []
-    for j in range(d):
-        diag = signs[0, :, j, j]
-        gens = np.flatnonzero(diag)
-        if not gens.size:
-            raise ValueError(f"{tag}: diagonal entry {j} has no generator")
-        columns.append((
-            tuple((np.add if diag[a] > 0 else np.subtract, int(a)) for a in gens),
-            tuple((p, i, *_below_entry(tag, signs[p, :, i, j]))
-                  for i in range(j + 1, d) for p in (0, 1)),
-        ))
-    return tuple(columns)
+    return tuple(
+        (_program(1.0 / d, signs[0, :, j, j]),
+         tuple((p, i, _program(0.0, signs[p, :, i, j])) for i in range(j + 1, d) for p in (0, 1)))
+        for j in range(d)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -115,16 +87,18 @@ def case_tables(tag: str):
 
     Every nonzero real or imaginary part of a generator entry is +-kappa, so
     with Y = kappa * c (one row per generator) each entry of rho is a signed
-    sum of rows of Y.  tables[j] is (diag, lower) for column j.  rho[j, j] is
-    1/d, then op(., Y[a]) for (op, a) in diag, left to right, each op being
-    np.add or np.subtract.  For (p, i, op, a, b) in lower, op(Y[a], Y[b],
-    out=...) writes the real (p = 0) or imaginary (p = 1) part of rho[i, j];
-    op is np.add, np.subtract, a negated sum or a zero fill.  pt_tables is the
-    same for the partial transpose (subsystem B): the coefficient signs of
-    `states.pt_sign_vector` folded into every entry.
+    sum of rows of Y.  Each entry is compiled into one program (init, ops):
+    start from init, 1/d on the diagonal and 0 below it, then apply
+    op(entry, Y[a]) for (op, a) in ops, one np.add or np.subtract per
+    generator in increasing generator index.  tables[j] is (pivot, lower)
+    for column j: pivot is the program of rho[j, j], and for (p, i, program)
+    in lower the program gives the real (p = 0) or imaginary (p = 1) part of
+    rho[i, j].  pt_tables is the same for the partial transpose (subsystem
+    B): the coefficient signs of `states.pt_sign_vector` folded into every
+    entry.
 
     Raises ValueError naming the family if its nonzero coefficients do not
-    share one magnitude, or if an entry does not fit these programs.
+    share one magnitude.
     """
     basis = get_case(tag).basis
     parts = np.stack([basis.real, basis.imag])
@@ -140,7 +114,16 @@ def case_tables(tag: str):
     signs = np.sign(parts).astype(np.int8)
     pt = np.asarray(pt_sign_vector(tag), dtype=np.int8)
     pt_signs = signs * pt[None, :, None, None]
-    return kappa, _column_tables(tag, signs), _column_tables(tag, pt_signs)
+    return kappa, _column_tables(signs), _column_tables(pt_signs)
+
+
+def _entry(program, Y: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Run one entry program of `case_tables` on every lane of Y, into out."""
+    init, ops = program
+    out.fill(init)
+    for op, a in ops:
+        op(out, Y[a], out=out)
+    return out
 
 
 def _positive_lanes(Y: np.ndarray, tables) -> np.ndarray:
@@ -148,11 +131,8 @@ def _positive_lanes(Y: np.ndarray, tables) -> np.ndarray:
     d = len(tables)
     n = Y.shape[1]
     L = np.empty((2, d, d, n))  # L[0] real, L[1] imaginary part, lanes last
-    for j, (diag, lower) in enumerate(tables):
-        (op, a), *rest = diag
-        s = op(1.0 / d, Y[a])
-        for op, a in rest:
-            op(s, Y[a], out=s)
+    for j, (pivot, lower) in enumerate(tables):
+        s = _entry(pivot, Y, np.empty(n))
         s += POSITIVITY_TOL
         if j:
             sq = L[:, j, :j] ** 2
@@ -173,8 +153,8 @@ def _positive_lanes(Y: np.ndarray, tables) -> np.ndarray:
         if j == d - 1:
             return Y
         inv = 1.0 / np.sqrt(s)
-        for part, i, op, a, b in lower:
-            op(Y[a], Y[b], out=L[part, i, j])
+        for part, i, program in lower:
+            _entry(program, Y, L[part, i, j])
         c = L[:, j + 1:, j]
         if j:
             rows = d - j - 1

@@ -58,6 +58,13 @@ class TestConjectureCommand:
         assert out == "" and err.count("\n") == 1
         assert err.startswith("sepmc conjecture: ") and "alpha=870" in err
 
+    def test_overflowing_alpha_is_numeric_failure(self, capsys):
+        # q_poly overflows from alpha about 1e61; the term itself is 0.0 there
+        code, out, err = run_cli(capsys, "conjecture", "--alpha", "1e61")
+        assert code == 2
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("sepmc conjecture: ") and "alpha=1e+61" in err
+
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "conj.json"
         code, out, _ = run_cli(capsys, "conjecture", "--alpha", "2", "--out", str(path))
@@ -137,11 +144,17 @@ class TestEstimateCommand:
         assert code == 0
 
 
+FULL_DEVICE = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+
+
 class TestEstimateBadInput:
     """Bad flags and checkpoint files end in one line on stderr and exit 1."""
 
     ARGV = ("estimate", "--case", "rebit", "--samples", "2000", "--workers", "1",
             "--chunk-size", "1000")
+    # a run that finds positive samples, so that it reaches its writes
+    ARGV_RUN = ("estimate", "--case", "rebit", "--samples", "20000", "--seed", "42",
+                "--workers", "1", "--chunk-size", "10000")
 
     @staticmethod
     def assert_usage_error(code, out, err, needle, command="estimate"):
@@ -201,8 +214,10 @@ class TestEstimateBadInput:
          b"n_total 1000\nn_positive 9\nn_sep 3\nn_positive 9\n", "n_positive"),
         (b"version 1\ncase rebit\nseed 0\nchunk_size 1000\nchunks_done 1\n"
          b"n_total 1000\nn_positive 9\nn_sep 3\nbogus 1\n", "bogus"),
+        (b"version 1\ncase rebit\nseed 0\nchunk_size 1000\nchunks_done 1\n"
+         b"n_total 1000\nn_positive 9\nn_sep 3\n" + b"\n" * 2**20, "larger than 4096 bytes"),
     ], ids=["truncated", "garbage-value", "inconsistent-n_total", "chunks-beyond-run", "binary",
-            "repeated-key", "unknown-key"])
+            "repeated-key", "unknown-key", "valid-then-1MiB-of-blank-lines"])
     def test_bad_checkpoint_file(self, capsys, tmp_path, content, needle):
         path = tmp_path / "run.ckpt"
         path.write_bytes(content)
@@ -216,13 +231,29 @@ class TestEstimateBadInput:
         (ARGV + ("--out",), "missing/result.json", "No such file or directory"),
         (("conjecture", "--alpha", "1", "--out"), "missing/result.json",
          "No such file or directory"),
+        (ARGV + ("--checkpoint",), os.devnull, "not a regular file"),
+        pytest.param(ARGV_RUN + ("--out",), "/dev/full", "No space left on device",
+                     marks=FULL_DEVICE),
+        pytest.param(("conjecture", "--alpha", "1", "--out"), "/dev/full",
+                     "No space left on device", marks=FULL_DEVICE),
     ], ids=["checkpoint-is-a-directory", "checkpoint-in-missing-directory",
-            "estimate-out-in-missing-directory", "conjecture-out-in-missing-directory"])
+            "estimate-out-in-missing-directory", "conjecture-out-in-missing-directory",
+            "checkpoint-not-a-regular-file", "estimate-out-on-full-device",
+            "conjecture-out-on-full-device"])
     def test_unusable_path(self, capsys, tmp_path, argv, path, reason):
+        # an absolute path (a device) replaces tmp_path
         target = tmp_path / path
         code, out, err = run_cli(capsys, *argv, str(target))
         self.assert_usage_error(code, out, err, str(target), command=argv[0])
         assert reason in err
+
+    @FULL_DEVICE
+    def test_failed_checkpoint_write_names_the_path(self, capsys, tmp_path):
+        # the checkpoint is written to PATH.tmp, then renamed; here PATH.tmp is /dev/full
+        (tmp_path / "run.ckpt.tmp").symlink_to("/dev/full")
+        code, out, err = run_cli(capsys, *self.ARGV_RUN, "--checkpoint", str(tmp_path / "run.ckpt"))
+        self.assert_usage_error(code, out, err, f"{tmp_path / 'run.ckpt.tmp'}: ")
+        assert "No space left on device" in err
 
     @pytest.mark.parametrize("alpha", ["nan", "inf"])
     def test_non_finite_alpha(self, capsys, alpha):

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -51,6 +52,11 @@ class TestTerm:
     def test_positive_on_range(self):
         for alpha in np.linspace(0.0, 10.0, 101):
             assert f_term(float(alpha)) > 0.0
+
+    @pytest.mark.parametrize("alpha", [870.0, 1e61, 1e305, sys.float_info.max])
+    def test_zero_where_the_term_underflows(self, alpha):
+        # q_poly(1e61) and lgamma(5e305) overflow; the term itself is far below 5e-324
+        assert f_term(alpha) == 0.0
 
     def test_matches_direct_product(self):
         for alpha in np.linspace(0.0, 3.0, 31):
@@ -120,9 +126,10 @@ class TestSeries:
         p_of_alpha(1.0, MIN_REL_TOL)
         p_of_alpha(1.0, MAX_REL_TOL)
 
-    @pytest.mark.parametrize("alpha", [850.0, 870.0])
+    @pytest.mark.parametrize("alpha", [850.0, 870.0, 1e61, sys.float_info.max])
     def test_underflowing_first_term_rejected(self, alpha):
-        # f_term(850) is subnormal (about 3 significant digits), f_term(870) is 0.0
+        # f_term(850) is subnormal (about 3 significant digits), f_term(870) is 0.0,
+        # and from 1e61 the term's polynomial overflows
         with pytest.raises(ArithmeticError, match="alpha=") as info:
             p_of_alpha(alpha)
         assert not isinstance(info.value, ZeroDivisionError)

@@ -1,3 +1,4 @@
+import os
 from functools import lru_cache
 from types import SimpleNamespace
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from sepmc import kernels
 from sepmc.engine import (
+    CHECKPOINT_MAX_BYTES,
     KERNEL_BATCH,
     Checkpoint,
     CheckpointError,
@@ -201,13 +203,17 @@ def _assemble(tables, Y):
     """Real and imaginary lower triangle of rho, shape (2, d, d, lanes), run from the tables."""
     d = len(tables)
     rho = np.zeros((2, d, d, Y.shape[1]))
-    for j, (diag, lower) in enumerate(tables):
-        (op, a), *rest = diag
-        rho[0, j, j] = op(1.0 / d, Y[a])
-        for op, a in rest:
-            op(rho[0, j, j], Y[a], out=rho[0, j, j])
-        for p, i, op, a, b in lower:
-            op(Y[a], Y[b], out=rho[p, i, j])
+
+    def run(program, out):
+        init, ops = program
+        out[...] = init
+        for op, a in ops:
+            op(out, Y[a], out=out)
+
+    for j, (pivot, lower) in enumerate(tables):
+        run(pivot, rho[0, j, j])
+        for p, i, program in lower:
+            run(program, rho[p, i, j])
     return rho
 
 
@@ -249,16 +255,37 @@ class TestCaseTables:
 
     @pytest.mark.parametrize("doctor, needle", [
         (lambda b: b.__setitem__(0, 2 * b[0]), "magnitudes"),
-        # generator 0 also enters rho[3, 0] (and rho[0, 3]), which has two already
-        (lambda b: (b[0].__setitem__((3, 0), 0.5), b[0].__setitem__((0, 3), 0.5)), "generators"),
-        (lambda b: b[:, 0, 0].fill(0), "diagonal"),
-    ], ids=["two-magnitudes", "three-generators-below-diagonal", "empty-diagonal"])
+    ], ids=["two-magnitudes"])
     def test_unassemblable_basis_rejected(self, monkeypatch, doctor, needle):
         basis = CASES["qubit"].basis.copy()
         doctor(basis)
         monkeypatch.setattr(kernels, "get_case", lambda tag: SimpleNamespace(basis=basis))
         with pytest.raises(ValueError, match=f"qubit: .*{needle}"):
             kernels.case_tables.__wrapped__("qubit")
+
+    @pytest.mark.parametrize("doctor", [
+        # generator 0 also enters rho[3, 0] (and rho[0, 3]), which has two already
+        lambda b: (b[0].__setitem__((3, 0), 0.5), b[0].__setitem__((0, 3), 0.5)),
+        # no generator enters rho[0, 0]
+        lambda b: b[:, 0, 0].fill(0),
+    ], ids=["three-generators-below-diagonal", "empty-diagonal"])
+    def test_any_generator_count_assembles(self, monkeypatch, doctor):
+        # every entry is one program, whatever number of generators enters it:
+        # the kernel's sum in increasing generator index, bit for bit
+        basis = CASES["qubit"].basis.copy()
+        doctor(basis)
+        monkeypatch.setattr(kernels, "get_case", lambda tag: SimpleNamespace(basis=basis))
+        kappa, tables, pt_tables = kernels.case_tables.__wrapped__("qubit")
+        c = sample_ball(15, CASES["qubit"].radius, derive_stream(4, 0, 0), 5)
+        for tab, pts in ((tables, c), (pt_tables, c * pt_sign_vector("qubit"))):
+            rho = _assemble(tab, kappa * c.T)
+            for r, row in enumerate(pts):
+                want = np.eye(4, dtype=complex) / 4
+                for a, g in enumerate(basis):
+                    want = want + row[a] * g
+                want = np.tril(want)
+                np.testing.assert_array_equal(rho[0, ..., r], want.real)
+                np.testing.assert_array_equal(rho[1, ..., r], want.imag)
 
 
 class TestSeededTallies:
@@ -444,6 +471,26 @@ class TestCheckpoint:
                        checkpoint_path=path, checkpoint_every=1)
         assert res.tally == ck.tally
         assert checkpoint_load(path) == ck
+
+    def test_not_a_regular_file_rejected(self):
+        with pytest.raises(CheckpointError, match="not a regular file"):
+            checkpoint_load(os.devnull)
+
+    def test_oversized_file_rejected(self, tmp_path):
+        # a valid checkpoint, then 1 MiB of blank lines
+        path = tmp_path / "run.ckpt"
+        self._write(path)
+        checkpoint_load(path)
+        with open(path, "a") as fh:
+            fh.write("\n" * 2**20)
+        with pytest.raises(CheckpointError, match=f"larger than {CHECKPOINT_MAX_BYTES} bytes"):
+            checkpoint_load(path)
+
+    def test_path_alone_writes_the_checkpoint(self, tmp_path):
+        path = tmp_path / "run.ckpt"
+        res = estimate("rebit", seed=2, n_total=200_000, workers=1, chunk_size=50_000,
+                       checkpoint_path=path)
+        assert checkpoint_load(path) == Checkpoint("rebit", 2, 50_000, 4, res.tally)
 
     def test_binary_file_rejected(self, tmp_path):
         path = tmp_path / "run.ckpt"
