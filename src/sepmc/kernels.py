@@ -7,22 +7,32 @@ on the measure-zero tolerance boundary.  The PPT verdict runs the same
 factorization on the partial transpose, whose coefficient vector is the
 point with the signs of `states.pt_sign_vector` applied.
 
+Number systems.  Each family is factored over its own number system, with
+beta real parts per matrix entry: the reals for rebit (beta = 1), the
+complex numbers for qubit (beta = 2) and the quaternions for quaterbit
+(beta = 4).  Every family is then a 4x4 Hermitian matrix over its number
+system.  A quaterbit's 8x8 complex rho is the 2x2 block form of a 4x4
+quaternion matrix Q (`algebra.Quaternion.to_block`), and rho + tol*I_8 is
+the block form of Q + tol*I_4, so factoring Q decides the same question
+without computing every entry twice.  A rebit has no imaginary half to
+factor.
+
 Layout.  Points are scored in tiles of 4096.  Within a family every nonzero
-real or imaginary part of a generator entry has one magnitude kappa (1/2 for
-rebit and qubit, 1/(2 sqrt 2) for quaterbit), so each tile is scaled once
-while it is transposed, Y = kappa * X^T: contiguous (m, n) rows, one lane per
-point, every per-lane quantity a contiguous float64 row.  The factor L is
-kept as separate real and imaginary arrays.
+part of a generator entry has one magnitude kappa (1/2 for rebit and qubit,
+1/(2 sqrt 2) for quaterbit), so each tile is scaled once while it is
+transposed, Y = kappa * X^T: contiguous (m, n) rows, one lane per point,
+every per-lane quantity a contiguous float64 row.  The factor L has shape
+(beta, 4, 4, n): part, row, column, lane.
 
 Assembly by signed adds.  `case_tables`, the one table builder, reads off
-the family's basis which rows of Y enter each entry of rho and with which
-sign, and compiles every entry into one program: start from 1/d on the
-diagonal or 0 below it, then one np.add or np.subtract of a row of Y per
-generator, in increasing generator index.  One evaluator runs these
-programs for the pivots and for the columns below them.  The partial
-transpose gets its own tables with the signs of `states.pt_sign_vector`
-folded in, so the PPT pass scores the positive lanes' rows of Y as they
-are, with no sign-flipped copy.
+the family's basis which rows of Y enter each part of each entry of rho and
+with which sign, and compiles every part into one program: the first
+generator's row added to or subtracted from 1/d on the diagonal or 0 below
+it, then one np.add or np.subtract of a row of Y per further generator, in
+increasing generator index.  One evaluator runs these programs for the
+pivots and for the columns below them.  The partial transpose gets its own
+tables with the signs of `states.pt_sign_vector` folded in, so the PPT pass
+scores the positive lanes' rows of Y as they are, with no sign-flipped copy.
 
 Lazy, compacting factorization.  The factorization is left-looking: column
 j's diagonal pivot is assembled and reduced first, the lanes whose pivot is
@@ -32,21 +42,24 @@ soon as no lane is left.  Under ball sampling about half of the qubit lanes
 are gone after two pivots and over 90% after three, so most of the matrix
 is never built.
 
-Verdicts follow the per-sample algorithm operation by operation.  Each
-surviving lane performs the same IEEE operations in the same order: an
-entry is the sum of c_a * G_a[i, j] in increasing generator index, from 1/d
-on the diagonal and from 0 below it; the pivot is rho[j, j] + tol minus
-re^2 + im^2 of L[j, k] for k ascending; an entry below it subtracts
-(ar*br + ai*bi, ai*br - ar*bi), the product L[i, k] * conj(L[j, k]), for k
-ascending; and it is scaled by 1/L[j, j], which is what numpy's
-complex-by-real division computes.  The entry programs give every entry
-the bits of that sum: rounding is symmetric in sign, so c*(-kappa) =
--(c*kappa), x + (-y) = x - y, 0 + y = y and 0 - y = -y, and only the sign
-of an exact zero can differ, which no later comparison or nonzero value
-sees.  Dropping lanes changes which lanes are computed, never the
-arithmetic of the ones that remain.  The arithmetic is real and unfused (no
-FMA), so a verdict depends neither on the machine nor on the point's
-position in its batch.
+Arithmetic.  An entry is the sum of c_a * G_a[i, j] in increasing generator
+index, from 1/d on the diagonal and from 0 below it; the pivot is
+rho[j, j] + tol minus |L[j, k]|^2 for k ascending, each norm the sum of the
+squares of its beta parts in part order; an entry below it subtracts the
+product L[i, k] * conj(L[j, k]) for k ascending, whose part r is the sum
+over s in order of PRODUCT_SIGNS[r, s] * x_s * y_(r xor s); and it is
+scaled by 1/L[j, j].  The entry programs give every entry the bits of that
+sum: rounding is symmetric in sign, so c*(-kappa) = -(c*kappa),
+x + (-y) = x - y, 0 + y = y and 0 - y = -y, and only the sign of an exact
+zero can differ, which no later comparison or nonzero value sees.  The
+qubit update is op for op the complex one, (ar*br + ai*bi, ai*br - ar*bi),
+as -(ar*bi) + ai*br = ai*br - ar*bi exactly, and the rebit one is the
+complex one with its operations on exact zeros dropped, so rebit and qubit
+verdicts keep their bits.  A quaterbit verdict equals the one of the 8x8
+complex factorization in exact arithmetic.  Dropping lanes changes which
+lanes are computed, never the arithmetic of the ones that remain.  The
+arithmetic is real, elementwise and unfused (no FMA), so a verdict depends
+neither on the machine nor on the point's position in its batch.
 """
 
 from __future__ import annotations
@@ -64,44 +77,85 @@ BACKEND = "numpy"
 # the lanes, small enough for a tile's live columns to stay in cache.
 _TILE = 4096
 
+# Real parts per matrix entry: reals, complex numbers, quaternions.
+_BETA = {"rebit": 1, "qubit": 2, "quaterbit": 4}
+
+# Product table of the quaternions 1, i, j, k: part r of x * conj(y) is the
+# sum over s of PRODUCT_SIGNS[r, s] * x_s * y_PRODUCT_PARTS[r, s].  Its
+# leading beta x beta block is the table of the complex (beta = 2) and real
+# (beta = 1) numbers.
+PRODUCT_SIGNS = np.array([[1.0, 1.0, 1.0, 1.0],
+                          [-1.0, 1.0, -1.0, 1.0],
+                          [-1.0, 1.0, 1.0, -1.0],
+                          [-1.0, -1.0, 1.0, 1.0]])
+PRODUCT_PARTS = np.arange(4)[:, None] ^ np.arange(4)
+
 
 def _program(init, signs):
-    """(init, ops) for one entry: init, then op(entry, Y[a]) for (op, a) in ops."""
+    """(init, ops) for one entry: op(init, Y[a]), then op(entry, Y[a]), for (op, a) in ops."""
     return init, tuple((np.add if signs[a] > 0 else np.subtract, int(a))
                        for a in np.flatnonzero(signs))
 
 
-def _column_tables(signs):
-    """Per column j: (pivot, lower) entry programs for the signs (2, m, d, d) of one basis."""
-    d = signs.shape[-1]
+def _column_tables(signs, init):
+    """Per column j: (pivot, lower) entry programs for the signs (beta, m, d, d) of one basis."""
+    beta, _, d, _ = signs.shape
     return tuple(
-        (_program(1.0 / d, signs[0, :, j, j]),
-         tuple((p, i, _program(0.0, signs[p, :, i, j])) for i in range(j + 1, d) for p in (0, 1)))
+        (_program(init, signs[0, :, j, j]),
+         tuple((p, i, _program(0.0, signs[p, :, i, j]))
+               for i in range(j + 1, d) for p in range(beta)))
         for j in range(d)
     )
 
 
+def _parts(tag: str, basis: np.ndarray) -> np.ndarray:
+    """The generators' entries over the family's number system, as (beta, m, d, d) real parts.
+
+    A quaternion a + ib + jc + kd is read off its 2x2 block
+    [[a - id, ib + c], [ib - c, a + id]] (`Quaternion.to_block`):
+    a = Re B00, b = Im B01, c = Re B01, d = -Im B00.
+    """
+    beta = _BETA[tag]
+    if beta == 1:
+        if np.any(basis.imag):
+            raise ValueError(f"{tag}: a generator has a nonzero imaginary part; "
+                             "the real kernel cannot represent it")
+        return basis.real[None]
+    if beta == 2:
+        return np.stack([basis.real, basis.imag])
+    m, n = basis.shape[0], basis.shape[1] // 2
+    blocks = basis.reshape(m, n, 2, n, 2)
+    b00, b01 = blocks[:, :, 0, :, 0], blocks[:, :, 0, :, 1]
+    if not (np.array_equal(blocks[:, :, 1, :, 1], b00.conj())
+            and np.array_equal(blocks[:, :, 1, :, 0], -b01.conj())):
+        raise ValueError(f"{tag}: a 2x2 block of a generator is not of the quaternion "
+                         "form [[a-id, ib+c], [ib-c, a+id]]")
+    return np.stack([b00.real, b01.imag, b01.real, -b00.imag])
+
+
 @lru_cache(maxsize=None)
 def case_tables(tag: str):
-    """(kappa, tables, pt_tables): assembly of rho = I/d + sum_a c_a G_a for one family.
+    """(kappa, beta, tables, pt_tables): assembly of rho = I/d + sum_a c_a G_a for one family.
 
-    Every nonzero real or imaginary part of a generator entry is +-kappa, so
-    with Y = kappa * c (one row per generator) each entry of rho is a signed
-    sum of rows of Y.  Each entry is compiled into one program (init, ops):
-    start from init, 1/d on the diagonal and 0 below it, then apply
-    op(entry, Y[a]) for (op, a) in ops, one np.add or np.subtract per
-    generator in increasing generator index.  tables[j] is (pivot, lower)
-    for column j: pivot is the program of rho[j, j], and for (p, i, program)
-    in lower the program gives the real (p = 0) or imaginary (p = 1) part of
-    rho[i, j].  pt_tables is the same for the partial transpose (subsystem
-    B): the coefficient signs of `states.pt_sign_vector` folded into every
-    entry.
+    rho is read as a 4x4 matrix over the family's number system, beta real
+    parts per entry (see `_parts`).  Every nonzero part of a generator entry
+    is +-kappa, so with Y = kappa * c (one row per generator) each part of
+    each entry of rho is a signed sum of rows of Y.  Each is compiled into
+    one program (init, ops), 1/d on the diagonal and 0 below it: op(init,
+    Y[a]) for the first (op, a) in ops, then op(entry, Y[a]) for the rest,
+    one np.add or np.subtract per generator in increasing generator index;
+    with no generator the entry is init.  tables[j] is (pivot, lower) for
+    column j: pivot is the program of rho[j, j], and for (p, i, program) in
+    lower the program gives part p of rho[i, j].  pt_tables is the same for
+    the partial transpose (subsystem B): the coefficient signs of
+    `states.pt_sign_vector` folded into every entry.
 
     Raises ValueError naming the family if its nonzero coefficients do not
-    share one magnitude.
+    share one magnitude, or if a generator is not a matrix over its number
+    system.
     """
     basis = get_case(tag).basis
-    parts = np.stack([basis.real, basis.imag])
+    parts = _parts(tag, basis)
     magnitudes = np.abs(parts[parts != 0])
     kappa = float(magnitudes[0])
     if np.any(magnitudes != kappa):
@@ -114,31 +168,41 @@ def case_tables(tag: str):
     signs = np.sign(parts).astype(np.int8)
     pt = np.asarray(pt_sign_vector(tag), dtype=np.int8)
     pt_signs = signs * pt[None, :, None, None]
-    return kappa, _column_tables(signs), _column_tables(pt_signs)
+    init = 1.0 / basis.shape[-1]
+    return (kappa, len(parts), _column_tables(signs, init),
+            _column_tables(pt_signs, init))
 
 
 def _entry(program, Y: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Run one entry program of `case_tables` on every lane of Y, into out."""
     init, ops = program
-    out.fill(init)
-    for op, a in ops:
+    if not ops:
+        out.fill(init)
+        return out
+    op, a = ops[0]
+    op(init, Y[a], out=out)
+    for op, a in ops[1:]:
         op(out, Y[a], out=out)
     return out
 
 
-def _positive_lanes(Y: np.ndarray, tables) -> np.ndarray:
+def _positive_lanes(Y: np.ndarray, beta: int, tables) -> np.ndarray:
     """Columns of Y (kappa times one point each) whose rho + POSITIVITY_TOL*I is positive definite."""
     d = len(tables)
     n = Y.shape[1]
-    L = np.empty((2, d, d, n))  # L[0] real, L[1] imaginary part, lanes last
+    signs = PRODUCT_SIGNS[:beta, :beta, None, None]
+    parts = PRODUCT_PARTS[:beta, :beta]
+    L = np.empty((beta, d, d, n))  # L[p, i, j]: part p of entry (i, j), lanes last
     for j, (pivot, lower) in enumerate(tables):
         s = _entry(pivot, Y, np.empty(n))
         s += POSITIVITY_TOL
         if j:
             sq = L[:, j, :j] ** 2
-            sq = sq[0] + sq[1]
+            norm = sq[0]
+            for r in range(1, beta):
+                norm += sq[r]
             for k in range(j):
-                s -= sq[k]
+                s -= norm[k]
         alive = s > 0.0
         if not alive.all():
             keep = np.flatnonzero(alive)
@@ -148,7 +212,7 @@ def _positive_lanes(Y: np.ndarray, tables) -> np.ndarray:
             Y = Y.take(keep, axis=1)
             s = s.take(keep)
             live = L[:, j:, :j]
-            L = np.empty((2, d, d, n))
+            L = np.empty((beta, d, d, n))
             np.take(live, keep, axis=-1, out=L[:, j:, :j])
         if j == d - 1:
             return Y
@@ -157,18 +221,15 @@ def _positive_lanes(Y: np.ndarray, tables) -> np.ndarray:
             _entry(program, Y, L[part, i, j])
         c = L[:, j + 1:, j]
         if j:
-            rows = d - j - 1
-            p = np.empty((2, rows, n))
-            q = np.empty((2, rows, n))
-            tmp = np.empty((rows, n))
+            # every product x_s * (sign * y_(r xor s)) for every k in one multiply,
+            # summed over s in order into prod[:, 0]: part r of L[i, k] * conj(L[j, k])
+            conj_row = L[:, j, :j][parts] * signs
+            prod = L[None, :, j + 1:, :j] * conj_row[:, :, None]
+            update = prod[:, 0]
+            for s_part in range(1, beta):
+                update += prod[:, s_part]
             for k in range(j):
-                below = L[:, j + 1:, k]
-                np.multiply(below, L[0, j, k], out=p)  # ar*br, ai*br
-                np.multiply(below, L[1, j, k], out=q)  # ar*bi, ai*bi
-                np.add(p[0], q[1], out=tmp)
-                c[0] -= tmp
-                np.subtract(p[1], q[0], out=tmp)
-                c[1] -= tmp
+                c -= update[:, :, k]
         c *= inv
     return Y
 
@@ -176,7 +237,7 @@ def _positive_lanes(Y: np.ndarray, tables) -> np.ndarray:
 def count_tallies(pts: np.ndarray, tag: str):
     """Count (n_positive, n_separable-by-PPT) over a (n, m) batch of points."""
     case = get_case(tag)
-    kappa, tables, pt_tables = case_tables(case.tag)
+    kappa, beta, tables, pt_tables = case_tables(case.tag)
     pts = np.asarray(pts, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != case.num_coeffs:
         raise ValueError(
@@ -186,8 +247,8 @@ def count_tallies(pts: np.ndarray, tag: str):
     nsep = 0
     for lo in range(0, len(pts), _TILE):
         Y = np.multiply(pts[lo : lo + _TILE].T, kappa, order="C")
-        pos = _positive_lanes(Y, tables)
+        pos = _positive_lanes(Y, beta, tables)
         if pos.shape[1]:
             npos += pos.shape[1]
-            nsep += _positive_lanes(pos, pt_tables).shape[1]
+            nsep += _positive_lanes(pos, beta, pt_tables).shape[1]
     return npos, nsep

@@ -13,8 +13,9 @@ import numpy as np
 from .algebra import Quaternion
 from .conjecture import p_of_alpha
 from .engine import TallyCounts, run_chunk
+from .kernels import count_tallies
 from .sampler import derive_stream, sample_ball
-from .states import CASES, coeffs_to_density, CoeffVector, partial_transpose
+from .states import CASES, coeffs_to_density, CoeffVector, is_positive, partial_transpose, ppt_test
 
 _SEED = 20240901
 
@@ -134,6 +135,29 @@ def check_tally_ordering() -> tuple:
     return True, f"3 chunks merged: {total.n_sep}/{total.n_positive}/{total.n_total}"
 
 
+def check_kernel_matches_eigensolver(n_points: int = 300) -> tuple:
+    """The Cholesky kernel against the eigenvalue route, row by row, on shrunk-ball points."""
+    rng = np.random.default_rng(_SEED + 6)
+    details = []
+    for k, case in enumerate(CASES.values()):
+        pts = sample_ball(case.num_coeffs, case.radius, derive_stream(_SEED + 6, k, 0), n_points)
+        pts *= rng.uniform(0.05, 0.6, (n_points, 1))
+        total = (0, 0)
+        for row in pts:
+            v = CoeffVector(case, row)
+            pos = is_positive(v)
+            want = (int(pos), int(pos and ppt_test(v)))
+            got = count_tallies(row[None], case.tag)
+            if got != want:
+                return False, f"{case.tag}: kernel (positive, PPT) {got}, eigensolver {want}"
+            total = (total[0] + want[0], total[1] + want[1])
+        batch = count_tallies(pts, case.tag)
+        if batch != total:
+            return False, f"{case.tag}: batch tally {batch} is not the sum of its rows {total}"
+        details.append(f"{case.tag} {batch[1]}/{batch[0]}/{n_points}")
+    return True, "rows agree (sep/positive/points): " + ", ".join(details)
+
+
 def check_conjecture_rationals() -> tuple:
     targets = ((0.5, 29 / 64), (1.0, 8 / 33), (2.0, 26 / 323))
     worst = 0.0
@@ -151,6 +175,7 @@ CHECKS = (
     ("kramers-pairs", check_kramers_pairs),
     ("ball-moments", check_ball_moments),
     ("tally-ordering", check_tally_ordering),
+    ("kernel-matches-eigensolver", check_kernel_matches_eigensolver),
     ("conjecture-rationals", check_conjecture_rationals),
 )
 

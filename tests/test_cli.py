@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import sepmc.states as states
-from sepmc import __version__, cli
+from sepmc import __version__, cli, selftest
 
 
 def run_cli(capsys, *argv):
@@ -298,7 +298,7 @@ class TestSelftestCommand:
     def test_clean_build_passes(self, capsys):
         code, out, _ = run_cli(capsys, "selftest")
         assert code == 0
-        assert "8/8 checks passed" in out
+        assert "9/9 checks passed" in out
         assert "FAIL" not in out
 
     def test_corrupted_pt_table_names_spectrum_check(self, capsys, monkeypatch):
@@ -314,6 +314,14 @@ class TestSelftestCommand:
         assert code == 2
         assert "FAIL pt-spectrum" in out
         assert "pt-spectrum" in err
+
+    def test_kernel_disagreeing_with_eigensolver_names_its_check(self, capsys, monkeypatch):
+        # a kernel that calls every point a separable state
+        monkeypatch.setattr(selftest, "count_tallies", lambda pts, tag: (len(pts), len(pts)))
+        code, out, err = run_cli(capsys, "selftest")
+        assert code == 2
+        assert "FAIL kernel-matches-eigensolver" in out
+        assert "kernel-matches-eigensolver" in err
 
 
 class TestParser:

@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from sepmc import kernels
+from sepmc.algebra import Quaternion, min_eigenvalue
 from sepmc.engine import (
     CHECKPOINT_MAX_BYTES,
     KERNEL_BATCH,
@@ -23,10 +24,12 @@ from sepmc.engine import (
 from sepmc.sampler import derive_stream, sample_ball
 from sepmc.states import (
     CASES,
+    POSITIVITY_TOL,
     CoeffVector,
     coeffs_to_density,
     density_to_coeffs,
     is_positive,
+    partial_transpose,
     ppt_test,
     pt_sign_vector,
 )
@@ -199,22 +202,32 @@ class TestKernelAgainstEigenvalueRoute:
         assert kernels.count_tallies(np.concatenate([dead, pts]), tag) == expected
 
 
-def _assemble(tables, Y):
-    """Real and imaginary lower triangle of rho, shape (2, d, d, lanes), run from the tables."""
+def _assemble(beta, tables, Y):
+    """Lower triangle of rho over its number system, shape (beta, d, d, lanes), run from the tables
+    by the kernel's evaluator."""
     d = len(tables)
-    rho = np.zeros((2, d, d, Y.shape[1]))
-
-    def run(program, out):
-        init, ops = program
-        out[...] = init
-        for op, a in ops:
-            op(out, Y[a], out=out)
-
+    rho = np.zeros((beta, d, d, Y.shape[1]))
     for j, (pivot, lower) in enumerate(tables):
-        run(pivot, rho[0, j, j])
+        kernels._entry(pivot, Y, rho[0, j, j])
         for p, i, program in lower:
-            run(program, rho[p, i, j])
+            kernels._entry(program, Y, rho[p, i, j])
     return rho
+
+
+def _block_form(parts):
+    """Complex matrices (D, D, lanes) of (beta, d, d, lanes) parts: identity for the
+    reals and complex numbers, `Quaternion.to_block` for the quaternions."""
+    beta, d, _, lanes = parts.shape
+    if beta == 1:
+        return parts[0] + 0j
+    if beta == 2:
+        return parts[0] + 1j * parts[1]
+    out = np.zeros((2 * d, 2 * d, lanes), dtype=complex)
+    for i in range(d):
+        for j in range(d):
+            for r in range(lanes):
+                out[2 * i:2 * i + 2, 2 * j:2 * j + 2, r] = Quaternion(*parts[:, i, j, r]).to_block()
+    return out
 
 
 class TestCaseTables:
@@ -226,12 +239,18 @@ class TestCaseTables:
     def test_one_coefficient_magnitude(self, tag, kappa):
         assert kernels.case_tables(tag)[0] == pytest.approx(kappa, rel=1e-15)
 
+    @pytest.mark.parametrize("tag, beta", [("rebit", 1), ("qubit", 2), ("quaterbit", 4)])
+    def test_number_system(self, tag, beta):
+        _, b, tables, pt_tables = kernels.case_tables(tag)
+        assert b == beta
+        assert len(tables) == len(pt_tables) == 4
+
     @pytest.mark.parametrize("tag", sorted(CASES))
     def test_signs_are_the_basis_signs_and_pt_flips_them(self, tag):
         # lane g holds the unit vector e_g, so each assembled entry is the
         # sign (0 or +-1) with which generator g enters it, plus 1/d on the diagonal
         case = CASES[tag]
-        _, tables, pt_tables = kernels.case_tables(tag)
+        _, beta, tables, pt_tables = kernels.case_tables(tag)
         d, m = case.dim, case.num_coeffs
         lower = np.tril(np.ones((d, d), dtype=bool))
         signs = np.sign(np.stack([case.basis.real, case.basis.imag])).transpose(0, 2, 3, 1)
@@ -239,29 +258,40 @@ class TestCaseTables:
         eye = np.zeros((2, d, d, 1))
         eye[0] = np.eye(d)[..., None] / d
         pt = pt_sign_vector(tag)
-        np.testing.assert_array_equal(_assemble(tables, np.eye(m)), signs + eye)
-        np.testing.assert_array_equal(_assemble(pt_tables, np.eye(m)), signs * pt + eye)
+        for tab, want in ((tables, signs + eye), (pt_tables, signs * pt + eye)):
+            got = _block_form(_assemble(beta, tab, np.eye(m)))
+            np.testing.assert_array_equal(got.real, want[0])
+            np.testing.assert_array_equal(got.imag, want[1])
 
     @pytest.mark.parametrize("tag", sorted(CASES))
     def test_kappa_scaled_rows_assemble_rho(self, tag):
         case = CASES[tag]
-        kappa, tables, pt_tables = kernels.case_tables(tag)
+        kappa, beta, tables, pt_tables = kernels.case_tables(tag)
         c = sample_ball(case.num_coeffs, case.radius, derive_stream(4, 0, 0), 5)
         for tab, pts in ((tables, c), (pt_tables, c * pt_sign_vector(tag))):
-            rho = _assemble(tab, kappa * c.T)
+            rho = _block_form(_assemble(beta, tab, kappa * c.T))
             for r, row in enumerate(pts):
                 want = np.tril(coeffs_to_density(CoeffVector(case, row)))
-                np.testing.assert_allclose(rho[0, ..., r] + 1j * rho[1, ..., r], want, atol=1e-15)
+                np.testing.assert_allclose(rho[..., r], want, atol=1e-15)
 
-    @pytest.mark.parametrize("doctor, needle", [
-        (lambda b: b.__setitem__(0, 2 * b[0]), "magnitudes"),
-    ], ids=["two-magnitudes"])
-    def test_unassemblable_basis_rejected(self, monkeypatch, doctor, needle):
-        basis = CASES["qubit"].basis.copy()
+    @pytest.mark.parametrize("tag, doctor, needle", [
+        ("qubit", lambda b: b.__setitem__(0, 2 * b[0]), "magnitudes"),
+        # a Hermitian generator with an imaginary part has no real form
+        ("rebit", lambda b: (b[0].__setitem__((0, 1), 0.5j), b[0].__setitem__((1, 0), -0.5j)),
+         "imaginary part"),
+        # diag(1, -1) is not a diagonal quaternion block a*I
+        ("quaterbit", lambda b: b[0].__setitem__((1, 1), -b[0][1, 1]), "quaternion form"),
+        # a lower block [[0, kappa], [0, 0]]: Hermitian, but B10 != -conj(B01)
+        ("quaterbit", lambda b: (b[3].__setitem__((2, 1), b[3][0, 2]),
+                                 b[3].__setitem__((1, 2), b[3][0, 2])), "quaternion form"),
+    ], ids=["two-magnitudes", "rebit-imaginary-part", "quaterbit-diagonal-block",
+            "quaterbit-lower-block"])
+    def test_unassemblable_basis_rejected(self, monkeypatch, tag, doctor, needle):
+        basis = CASES[tag].basis.copy()
         doctor(basis)
         monkeypatch.setattr(kernels, "get_case", lambda tag: SimpleNamespace(basis=basis))
-        with pytest.raises(ValueError, match=f"qubit: .*{needle}"):
-            kernels.case_tables.__wrapped__("qubit")
+        with pytest.raises(ValueError, match=f"{tag}: .*{needle}"):
+            kernels.case_tables.__wrapped__(tag)
 
     @pytest.mark.parametrize("doctor", [
         # generator 0 also enters rho[3, 0] (and rho[0, 3]), which has two already
@@ -275,17 +305,87 @@ class TestCaseTables:
         basis = CASES["qubit"].basis.copy()
         doctor(basis)
         monkeypatch.setattr(kernels, "get_case", lambda tag: SimpleNamespace(basis=basis))
-        kappa, tables, pt_tables = kernels.case_tables.__wrapped__("qubit")
+        kappa, beta, tables, pt_tables = kernels.case_tables.__wrapped__("qubit")
         c = sample_ball(15, CASES["qubit"].radius, derive_stream(4, 0, 0), 5)
         for tab, pts in ((tables, c), (pt_tables, c * pt_sign_vector("qubit"))):
-            rho = _assemble(tab, kappa * c.T)
+            rho = _block_form(_assemble(beta, tab, kappa * c.T))
             for r, row in enumerate(pts):
                 want = np.eye(4, dtype=complex) / 4
                 for a, g in enumerate(basis):
                     want = want + row[a] * g
                 want = np.tril(want)
-                np.testing.assert_array_equal(rho[0, ..., r], want.real)
-                np.testing.assert_array_equal(rho[1, ..., r], want.imag)
+                np.testing.assert_array_equal(rho[..., r].real, want.real)
+                np.testing.assert_array_equal(rho[..., r].imag, want.imag)
+
+
+@pytest.mark.parametrize("beta", [1, 2, 4])
+def test_product_table_is_quaternion_times_conjugate(beta):
+    # part r of x * conj(y) from the table, summed over s in order, against
+    # Quaternion.__mul__ on quaternions whose parts from beta on are zero
+    signs = kernels.PRODUCT_SIGNS[:beta, :beta]
+    parts = kernels.PRODUCT_PARTS[:beta, :beta]
+    assert set(parts.ravel()) == set(range(beta))
+    rng = np.random.default_rng(beta)
+    for _ in range(200):
+        x, y = np.zeros(4), np.zeros(4)
+        x[:beta], y[:beta] = rng.standard_normal((2, beta))
+        p = Quaternion(*x) * Quaternion(*y).conjugate()
+        want = [p.a, p.b, p.c, p.d]
+        for r in range(beta):
+            got = 0.0
+            for s in range(beta):
+                got += signs[r, s] * x[s] * y[parts[r, s]]
+            assert got == want[r]
+        assert not any(want[beta:])
+
+
+class TestQuaterbitBoundary:
+    """Points placed within 1e-9 of -tol on lambda_min, on either side."""
+
+    STEP = 1e-9
+
+    @staticmethod
+    def _lambda_min(c, pt):
+        v = CoeffVector(CASES["quaterbit"], c)
+        return min_eigenvalue(coeffs_to_density(partial_transpose(v) if pt else v))
+
+    def _straddle(self, c, pt):
+        """Scales t- < t+ of c with lambda_min + tol in (0, STEP] and [-STEP, 0), by bisection."""
+        gap = lambda t: self._lambda_min(t * c, pt) + POSITIVITY_TOL  # noqa: E731
+        lo, hi = 0.0, 1.0
+        while gap(hi) > 0:
+            lo, hi = hi, 2 * hi
+        while not (0 < gap(lo) <= self.STEP and -self.STEP <= gap(hi) < 0):
+            mid = (lo + hi) / 2
+            if gap(mid) > 0:
+                lo = mid
+            else:
+                hi = mid
+        return lo * c, hi * c
+
+    def test_kernel_takes_the_side_of_each_point(self):
+        case = CASES["quaterbit"]
+        dirs = sample_ball(case.num_coeffs, case.radius, derive_stream(12, 0, 0), 400)
+        rows, sides = [], []
+        for pt in (False, True):
+            found = 0
+            for c in dirs:
+                if pt and self._lambda_min(c, True) >= self._lambda_min(c, False):
+                    continue  # rho^Gamma would not reach -tol before rho does
+                inside, outside = self._straddle(c, pt)
+                rows += [inside, outside]
+                sides += [(True, True), (pt, False)] if pt else [(True, None), (False, False)]
+                found += 1
+                if found == 8:
+                    break
+            assert found == 8
+        pts = np.array(rows)
+        got = [kernels.count_tallies(row[None], "quaterbit") for row in pts]
+        for row, (npos, nsep), (pos, sep) in zip(pts, got, sides):
+            assert npos == pos
+            v = CoeffVector(case, row)
+            assert nsep == (pos and ppt_test(v) if sep is None else sep)
+        assert kernels.count_tallies(pts, "quaterbit") == tuple(np.sum(got, axis=0))
 
 
 class TestSeededTallies:
