@@ -1,9 +1,10 @@
 """Command line front end: estimate, conjecture, selftest.
 
 Exit codes: 0 success, 1 usage error, 2 numeric or internal failure.  Each
-flag is checked by its argparse type and `main` alone maps exceptions to
-exit codes, so every error is one stderr line naming the flag, path or
-field.  Result documents are JSON with a fixed, versioned field order so
+flag is checked by its argparse type (an integer flag by the library's own
+rule for the argument it feeds, `sampler.integer_in`) and `main` alone maps
+exceptions to exit codes, so every error is one stderr line naming the
+flag, path or field.  Result documents are JSON with a fixed, versioned field order so
 runs can be diffed; every numeric field except wall_time_s is reproducible
 from the flags and seed alone.
 """
@@ -24,7 +25,7 @@ from .engine import (
     estimate,
     write_text,
 )
-from .sampler import derive_stream
+from .sampler import SEED_LIMIT, integer_in
 from .selftest import run_selftest
 from .states import CASES
 
@@ -46,28 +47,22 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _count(low: int):
-    """argparse type: an integer >= low."""
+def _integer(name: str, low: int = 0, high: int = None):
+    """argparse type: the library's integer rule for its argument `name`."""
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
-            value = None
-        if value is None or value < low:
-            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
-        return value
+            value = text  # refused by the rule as not an integer
+        try:
+            return integer_in(value, name, low, high)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
     return parse
 
 
 def _workers(text: str):
-    return None if text == "auto" else _count(1)(text)
-
-
-def _seed(text: str) -> int:
-    try:
-        return derive_stream(int(text), 0, 0).seed
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+    return None if text == "auto" else _integer("workers", 1)(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -85,15 +80,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     est = sub.add_parser("estimate", help="run the Monte Carlo estimator")
     est.add_argument("--case", required=True, choices=sorted(CASES))
-    est.add_argument("--samples", type=_count(1), required=True, help="total ball samples")
-    est.add_argument("--seed", type=_seed, default=0)
+    est.add_argument("--samples", type=_integer("n_total", 1), required=True,
+                     help="total ball samples")
+    est.add_argument("--seed", type=_integer("seed", 0, SEED_LIMIT), default=0)
     est.add_argument("--workers", type=_workers, default=None,
                      help="worker processes, or 'auto' (default)")
-    est.add_argument("--chunk-size", type=_count(1), default=DEFAULT_CHUNK_SIZE)
+    est.add_argument("--chunk-size", type=_integer("chunk_size", 1), default=DEFAULT_CHUNK_SIZE)
     est.add_argument("--checkpoint", default=None, metavar="PATH",
                      help="checkpoint file to write and resume from")
-    est.add_argument("--checkpoint-every", type=_count(0), default=1, metavar="K",
-                     help="checkpoint every K completed chunks (0: never write)")
+    est.add_argument("--checkpoint-every", type=_integer("checkpoint_every"), default=1,
+                     metavar="K", help="checkpoint every K completed chunks (0: never write)")
     est.add_argument("--out", default=None, metavar="PATH",
                      help="also write the result document to PATH")
 

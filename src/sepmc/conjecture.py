@@ -65,7 +65,7 @@ def f_term(alpha: float) -> float:
     NaN or infinite alpha.
     """
     if not (math.isfinite(alpha) and alpha >= 0):
-        raise ValueError(f"series term requires finite alpha >= 0, got {alpha}")
+        raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
     if alpha >= _TERM_ZERO_FROM:
         return 0.0
     log_term = (
@@ -98,14 +98,12 @@ def p_of_alpha(alpha: float, rel_tol: float = 1e-12) -> SeriesResult:
     the first term is not a finite normal double (alpha from about 816 up),
     since a subnormal sum carries only a few significant digits.
     """
-    if not (math.isfinite(alpha) and alpha >= 0):
-        raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
+    term = f_term(alpha)  # raises ValueError for a bad alpha, before rel_tol is checked
     if not (MIN_REL_TOL <= rel_tol <= MAX_REL_TOL):
         raise ValueError(
             f"rel_tol must lie in [{MIN_REL_TOL:g}, {MAX_REL_TOL:g}], got {rel_tol}"
         )
     total = 0.0
-    term = f_term(alpha)
     if not sys.float_info.min <= term <= sys.float_info.max:
         raise ArithmeticError(
             f"series term at alpha={alpha} is {term!r}, not a finite normal double "

@@ -20,7 +20,7 @@ from functools import partial
 import numpy as np
 
 from . import kernels
-from .sampler import DRAW_BATCH, StreamSpec, ball_batches, derive_stream
+from .sampler import DRAW_BATCH, SEED_LIMIT, StreamSpec, ball_batches, derive_stream, integer_in
 from .states import StateCase, get_case
 
 # Samples per kernel call inside a chunk: the sampler's draw batch, so that
@@ -93,8 +93,7 @@ def run_chunk(case, stream: StreamSpec, chunk_size: int) -> TallyCounts:
     identical counts.
     """
     case = get_case(case)
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
+    integer_in(chunk_size, "chunk_size", 1)
     n_positive = 0
     n_sep = 0
     for pts in ball_batches(case.num_coeffs, case.radius, stream.generator(), chunk_size):
@@ -115,31 +114,17 @@ class Checkpoint:
     tally: TallyCounts
 
 
-def _at_least(low: int):
-    def parse(text: str) -> int:
-        value = int(text)
-        if value < low:
-            raise ValueError(f"must be >= {low}, got {value}")
-        return value
-    return parse
-
-
-def _version(text: str) -> int:
-    if int(text) != CHECKPOINT_VERSION:
-        raise ValueError(f"expected {CHECKPOINT_VERSION}, got {text}")
-    return CHECKPOINT_VERSION
-
-
-# The checkpoint's 'key value' lines in file order, each with its value's parser.
+# The checkpoint's 'key value' lines in file order; every field but the case
+# tag is an integer in [low, high).
 _CHECKPOINT_FIELDS = {
-    "version": _version,
-    "case": lambda text: get_case(text).tag,
-    "seed": lambda text: derive_stream(int(text), 0, 0).seed,
-    "chunk_size": _at_least(1),
-    "chunks_done": _at_least(0),
-    "n_total": int,
-    "n_positive": int,
-    "n_sep": int,
+    "version": (CHECKPOINT_VERSION, CHECKPOINT_VERSION + 1),
+    "case": None,
+    "seed": (0, SEED_LIMIT),
+    "chunk_size": (1, None),
+    "chunks_done": (0, None),
+    "n_total": (0, None),
+    "n_positive": (0, None),
+    "n_sep": (0, None),
 }
 
 
@@ -154,12 +139,18 @@ def write_text(path, text: str) -> None:
 
 
 def checkpoint_save(state: Checkpoint, path) -> None:
-    """Write a checkpoint as line-oriented 'key value' text (atomic rename)."""
+    """Write a checkpoint as line-oriented 'key value' text (atomic rename).
+
+    Raises CheckpointError, before anything is written, for a state that
+    checkpoint_load would refuse to read back.
+    """
     values = (CHECKPOINT_VERSION, state.case_tag, state.seed, state.chunk_size,
               state.chunks_done, *astuple(state.tally))
+    text = "".join(f"{key} {value}\n"
+                   for key, value in zip(_CHECKPOINT_FIELDS, values, strict=True))
+    _parse(text.encode())
     tmp = f"{path}.tmp"
-    write_text(tmp, "".join(f"{key} {value}\n"
-                            for key, value in zip(_CHECKPOINT_FIELDS, values, strict=True)))
+    write_text(tmp, text)
     os.replace(tmp, path)
 
 
@@ -169,18 +160,22 @@ def checkpoint_load(path) -> Checkpoint:
     Only a regular file of at most CHECKPOINT_MAX_BYTES is read; a device,
     FIFO or directory, or a larger file, is refused.
     """
-    fields = {}
     # O_NONBLOCK: opening a FIFO must not wait for a writer
     with open(path, "rb", opener=lambda p, flags: os.open(p, flags | os.O_NONBLOCK)) as fh:
         if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
             raise CheckpointError("not a regular file")
-        data = fh.read(CHECKPOINT_MAX_BYTES + 1)
+        return _parse(fh.read(CHECKPOINT_MAX_BYTES + 1))
+
+
+def _parse(data: bytes) -> Checkpoint:
+    """Parse checkpoint bytes: those checkpoint_load reads and those checkpoint_save writes."""
     if len(data) > CHECKPOINT_MAX_BYTES:
         raise CheckpointError(f"larger than {CHECKPOINT_MAX_BYTES} bytes")
     try:
         lines = data.decode("utf-8").splitlines()
     except UnicodeDecodeError as exc:
         raise CheckpointError(f"not a text file: {exc}") from None
+    fields = {}
     for lineno, line in enumerate(lines, 1):
         line = line.strip()
         if not line:
@@ -197,9 +192,11 @@ def checkpoint_load(path) -> Checkpoint:
         if key not in fields:
             raise CheckpointError(f"missing field {key!r}")
     values = []
-    for key, parse in _CHECKPOINT_FIELDS.items():
+    for key, bounds in _CHECKPOINT_FIELDS.items():
+        text = fields[key]
         try:
-            values.append(parse(fields[key]))
+            values.append(get_case(text).tag if bounds is None
+                          else integer_in(int(text), key, *bounds))
         except ValueError as exc:
             raise CheckpointError(f"field {key!r}: {exc}") from None
     _, tag, seed, chunk_size, chunks_done, *counts = values
@@ -234,17 +231,13 @@ def estimate(
     no draw was positive (expected only for absurdly small n_total).
     """
     case = get_case(case)
-    if n_total < 1:
-        raise ValueError(f"n_total must be >= 1, got {n_total}")
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
+    integer_in(n_total, "n_total", 1)
+    integer_in(chunk_size, "chunk_size", 1)
     if workers is None:
         workers = os.cpu_count() or 1
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    if checkpoint_every < 0:
-        raise ValueError(f"checkpoint_every must be >= 0, got {checkpoint_every}")
-    derive_stream(seed, 0, 0)  # raises ValueError for a bad seed
+    integer_in(workers, "workers", 1)
+    integer_in(checkpoint_every, "checkpoint_every")
+    integer_in(seed, "seed", 0, SEED_LIMIT)
 
     t_start = time.perf_counter()
     n_chunks = -(-n_total // chunk_size)

@@ -23,6 +23,15 @@ consecutive batches of at most DRAW_BATCH points, each batch taking its
 normals first and then its radial uniforms.  That layout pins the
 byte-exact output, so `sample_ball` and the engine's chunks both iterate
 it, and a chunk's tally depends only on its stream and size.
+
+Integer run values
+------------------
+`integer_in` is the one rule for every integer a run takes, wherever it
+comes in: the stream ids here, `sample_ball`'s dim and count, the engine's
+arguments and checkpoint fields, and the CLI flags.  An integer is what
+``operator.index`` accepts (a Python or numpy integer) except a ``bool``:
+2.5, "3" and True are refused, never read as 2, 3 or 1.  A refused value
+raises ValueError naming the argument, its range and the value.
 """
 
 from __future__ import annotations
@@ -36,6 +45,22 @@ import numpy as np
 # of the draw protocol: changing it changes every seeded tally.
 DRAW_BATCH = 1 << 16
 
+# Master seeds are the integers in [0, SEED_LIMIT): one 64-bit word.
+SEED_LIMIT = 1 << 64
+
+
+def integer_in(value, name: str, low: int = 0, high: int = None):
+    """Return value if it is an integer in [low, high), else raise ValueError naming name."""
+    try:
+        index = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        index = None
+    if index is None or index < low or (high is not None and index >= high):
+        kind = (f"an integer in [{low}, {high})" if high is not None
+                else "a non-negative integer" if low == 0 else f"an integer >= {low}")
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
+    return value
+
 
 @dataclass(frozen=True)
 class StreamSpec:
@@ -46,14 +71,9 @@ class StreamSpec:
     chunk: int
 
     def __post_init__(self):
-        try:
-            valid = 0 <= operator.index(self.seed) < 1 << 64
-        except TypeError:
-            valid = False
-        if not valid:
-            raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
-        if self.worker < 0 or self.chunk < 0:
-            raise ValueError("worker and chunk indices must be non-negative")
+        integer_in(self.seed, "seed", 0, SEED_LIMIT)
+        integer_in(self.worker, "worker")
+        integer_in(self.chunk, "chunk")
 
     def generator(self) -> np.random.Generator:
         """Fresh generator positioned at the start of this stream."""
@@ -108,12 +128,10 @@ def sample_ball(dim: int, radius: float, stream, count: int) -> np.ndarray:
     current state, for callers accumulating statistics over many calls).
     Returns an array of shape (count, dim) with every row norm <= radius.
     """
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
+    integer_in(dim, "dim", 1)
     if not (np.isfinite(radius) and radius > 0):
         raise ValueError(f"radius must be finite and > 0, got {radius}")
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
+    integer_in(count, "count")
     rng = stream.generator() if isinstance(stream, StreamSpec) else stream
     out = np.empty((count, dim))
     for lo, pts in zip(range(0, count, DRAW_BATCH), ball_batches(dim, radius, rng, count)):

@@ -11,6 +11,14 @@ from hypothesis import strategies as st
 
 import sepmc.states as states
 from sepmc import __version__, cli, selftest
+from sepmc.engine import (
+    Checkpoint,
+    CheckpointError,
+    TallyCounts,
+    checkpoint_load,
+    checkpoint_save,
+    estimate,
+)
 
 
 def run_cli(capsys, *argv):
@@ -259,6 +267,58 @@ class TestEstimateBadInput:
     def test_non_finite_alpha(self, capsys, alpha):
         code, out, err = run_cli(capsys, "conjecture", "--alpha", alpha)
         self.assert_usage_error(code, out, err, "alpha", command="conjecture")
+
+
+class TestIntegerRuleAgreement:
+    """The CLI, estimate and the checkpoint refuse exactly the same integer run values."""
+
+    VALUES = (-1, 0, 1, 2**64 - 1, 2**64, True, 2.5)
+    FLAGS = {"n_total": "--samples", "chunk_size": "--chunk-size", "workers": "--workers",
+             "checkpoint_every": "--checkpoint-every", "seed": "--seed"}
+    BASE = {"n_total": 1000, "chunk_size": 1000, "workers": 1, "checkpoint_every": 1, "seed": 0}
+
+    @pytest.mark.parametrize("param, low, high", [
+        ("n_total", 1, None), ("chunk_size", 1, None), ("workers", 1, None),
+        ("checkpoint_every", 0, None), ("seed", 0, 2**64),
+    ])
+    def test_cli_estimate_and_checkpoint_agree(self, capsys, tmp_path, param, low, high):
+        # A checkpoint of another case stops an accepted run right after its
+        # arguments are checked, before any chunk runs.
+        other = tmp_path / "qubit.ckpt"
+        checkpoint_save(Checkpoint("qubit", 0, 1000, 0, TallyCounts.zero()), other)
+        for value in self.VALUES:
+            refused = type(value) is not int or value < low or (high is not None and value >= high)
+            kwargs = {**self.BASE, param: value}
+            try:
+                estimate("rebit", **kwargs, checkpoint_path=other)
+            except CheckpointError as exc:
+                assert not refused and "field 'case'" in str(exc), value
+            except ValueError as exc:
+                assert refused and param in str(exc), value
+            else:
+                pytest.fail(f"estimate ran with {param}={value!r}")
+
+            argv = ["estimate", "--case", "rebit", "--checkpoint", str(other)]
+            for name, v in kwargs.items():
+                argv += [self.FLAGS[name], str(v)]
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 1 and out == "" and err.count("\n") == 1, value
+            if refused:
+                assert f"argument {self.FLAGS[param]}: " in err and param in err, value
+            else:
+                assert "field 'case'" in err, value
+
+            if param in ("seed", "chunk_size"):
+                path = tmp_path / "value.ckpt"
+                fields = {"version": 1, "case": "rebit", "seed": 0, "chunk_size": 1000,
+                          "chunks_done": 0, "n_total": 0, "n_positive": 0, "n_sep": 0}
+                fields[param] = value
+                path.write_text("".join(f"{k} {v}\n" for k, v in fields.items()))
+                if refused:
+                    with pytest.raises(CheckpointError, match=f"field '{param}'"):
+                        checkpoint_load(path)
+                else:
+                    assert getattr(checkpoint_load(path), param) == value
 
 
 @settings(max_examples=40, deadline=None,

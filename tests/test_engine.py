@@ -76,6 +76,10 @@ class TestRunChunk:
         with pytest.raises(ValueError, match="chunk_size"):
             run_chunk("qubit", derive_stream(0, 0, 0), 0)
 
+    def test_float_chunk_size_refused(self):
+        with pytest.raises(ValueError, match="chunk_size"):
+            run_chunk("rebit", derive_stream(0, 0, 0), 10.0)
+
     def test_tally_ordering_holds(self):
         for tag in CASES:
             t = run_chunk(tag, derive_stream(9, 0, 0), 30_000)
@@ -457,6 +461,19 @@ class TestEstimate:
                      checkpoint_path=path, checkpoint_every=1)
         assert not path.exists()
 
+    def test_bool_seed_refused_before_any_chunk(self, tmp_path):
+        # True would otherwise run seed 1's streams and write 'seed True'
+        path = tmp_path / "run.ckpt"
+        with pytest.raises(ValueError, match="seed"):
+            estimate("rebit", seed=True, n_total=10, workers=1, chunk_size=10,
+                     checkpoint_path=path, checkpoint_every=1)
+        assert not path.exists()
+        assert not (tmp_path / "run.ckpt.tmp").exists()
+
+    def test_float_n_total_refused(self):
+        with pytest.raises(ValueError, match="n_total"):
+            estimate("rebit", seed=0, n_total=2.5, workers=1, chunk_size=10)
+
     def test_std_err_scaling(self):
         small = estimate("rebit", seed=11, n_total=100_000, workers=1, chunk_size=100_000)
         big = estimate("rebit", seed=11, n_total=1_600_000, workers=2, chunk_size=100_000)
@@ -470,6 +487,21 @@ class TestCheckpoint:
         ck = Checkpoint("qubit", 42, 1000, 7, TallyCounts(7000, 12, 3))
         checkpoint_save(ck, path)
         assert checkpoint_load(path) == ck
+
+    @pytest.mark.parametrize("state, field", [
+        (Checkpoint("rebit", 0, 0, 0, TallyCounts.zero()), "chunk_size"),
+        (Checkpoint("rebit", 0, 10, 2, TallyCounts(7, 0, 0)), "n_total"),
+        (Checkpoint("rebit", 0, 10, 2, TallyCounts(20.0, 0, 0)), "n_total"),
+        (Checkpoint("qutrit", 0, 10, 2, TallyCounts(20, 0, 0)), "case"),
+        (Checkpoint("rebit", True, 10, 2, TallyCounts(20, 0, 0)), "seed"),
+    ], ids=["chunk_size-0", "n_total-inconsistent", "n_total-float", "case-unknown",
+            "seed-bool"])
+    def test_save_refuses_what_load_refuses(self, tmp_path, state, field):
+        path = tmp_path / "run.ckpt"
+        with pytest.raises(CheckpointError, match=f"field '{field}'"):
+            checkpoint_save(state, path)
+        assert not path.exists()
+        assert not (tmp_path / "run.ckpt.tmp").exists()
 
     def test_file_is_documented_key_value_text(self, tmp_path):
         path = tmp_path / "run.ckpt"

@@ -33,6 +33,16 @@ class TestStreamSpec:
         with pytest.raises(ValueError, match="non-negative"):
             StreamSpec(0, 0, -2)
 
+    def test_indices_and_seed_must_be_integers(self):
+        # a bool is not a seed, and a float index is refused here, not later inside numpy
+        with pytest.raises(ValueError, match="seed"):
+            StreamSpec(True, 0, 0)
+        with pytest.raises(ValueError, match="worker"):
+            derive_stream(1, 0.5, 0)
+        with pytest.raises(ValueError, match="chunk"):
+            derive_stream(1, 0, 0.5)
+        assert derive_stream(np.uint64(2**64 - 1), np.int64(3), 0).seed == 2**64 - 1
+
     def test_worker_streams_uncorrelated(self):
         n = 1_000_000
 
@@ -68,6 +78,13 @@ class TestSampleBall:
                 sample_ball(3, radius, s, 10)
         with pytest.raises(ValueError, match="count"):
             sample_ball(3, 1.0, s, -1)
+
+    def test_dim_and_count_must_be_integers(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="count"):
+            sample_ball(3, 1.0, rng, 2.5)
+        with pytest.raises(ValueError, match="dim"):
+            sample_ball(3.0, 1.0, rng, 2)
 
     @pytest.mark.parametrize("dim,radius", [(9, np.sqrt(3 / 4)), (27, np.sqrt(7 / 8))])
     def test_inside_ball(self, dim, radius):
