@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import asdict
 
 from . import __version__
 from .conjecture import p_of_alpha
@@ -31,8 +32,8 @@ from .states import CASES
 
 RESULT_SCHEMA = "sepmc.result/1"
 
-# Series parameter matching each sampled family.
-CASE_ALPHA = {"rebit": 0.5, "qubit": 1.0, "quaterbit": 2.0}
+# Series parameter matching each sampled family: half its Dyson index beta.
+CASE_ALPHA = {tag: case.beta / 2 for tag, case in CASES.items()}
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -84,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="total ball samples")
     est.add_argument("--seed", type=_integer("seed", 0, SEED_LIMIT), default=0)
     est.add_argument("--workers", type=_workers, default=None,
-                     help="worker processes, or 'auto' (default)")
+                     help="worker processes, or 'auto' (default): the usable CPUs")
     est.add_argument("--chunk-size", type=_integer("chunk_size", 1), default=DEFAULT_CHUNK_SIZE)
     est.add_argument("--checkpoint", default=None, metavar="PATH",
                      help="checkpoint file to write and resume from")
@@ -127,9 +128,7 @@ def cmd_estimate(args) -> int:
         "command": "estimate",
         "case": args.case,
         "alpha": alpha,
-        "n_total": res.tally.n_total,
-        "n_positive": res.tally.n_positive,
-        "n_sep": res.tally.n_sep,
+        **asdict(res.tally),
         "p_hat": res.p_hat,
         "std_err": res.std_err,
         "conjecture": conj.value,
@@ -149,11 +148,7 @@ def cmd_conjecture(args) -> int:
     doc = {
         "schema": RESULT_SCHEMA,
         "command": "conjecture",
-        "alpha": res.alpha,
-        "value": res.value,
-        "terms_used": res.terms_used,
-        "tail_bound": res.tail_bound,
-        "rel_tol": res.rel_tol,
+        **asdict(res),
         "wall_time_s": time.perf_counter() - t0,
         "version": __version__,
     }

@@ -13,7 +13,7 @@ import os
 import stat
 import time
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import ExitStack
+from contextlib import nullcontext
 from dataclasses import astuple, dataclass
 from functools import partial
 
@@ -28,6 +28,10 @@ from .states import StateCase, get_case
 KERNEL_BATCH = DRAW_BATCH
 
 DEFAULT_CHUNK_SIZE = 1_000_000
+
+# Chunks submitted at once: the results of at most this many are held, and
+# no pool has more processes than this.
+WINDOW = 256
 
 CHECKPOINT_VERSION = 1
 
@@ -93,7 +97,7 @@ def run_chunk(case, stream: StreamSpec, chunk_size: int) -> TallyCounts:
     identical counts.
     """
     case = get_case(case)
-    integer_in(chunk_size, "chunk_size", 1)
+    chunk_size = integer_in(chunk_size, "chunk_size", 1)
     n_positive = 0
     n_sep = 0
     for pts in ball_batches(case.num_coeffs, case.radius, stream.generator(), chunk_size):
@@ -223,21 +227,23 @@ def estimate(
 ) -> EstimateResult:
     """Estimate the conditional probability n_sep/n_positive over n_total draws.
 
-    n_total is rounded up to whole chunks.  The tally is invariant under the
-    worker count and any interrupt/resume through checkpoints; only wall
-    time varies.  With checkpoint_path the run resumes from that file if it
-    exists and rewrites it after every checkpoint_every completed chunks and
-    after the last one (0: never write).  Raises NoPositiveSamplesError when
-    no draw was positive (expected only for absurdly small n_total).
+    n_total is rounded up to whole chunks.  workers=None means the CPUs this
+    process may run on.  The tally is invariant under the worker count and
+    any interrupt/resume through checkpoints; only wall time varies.  With
+    checkpoint_path the run resumes from that file if it exists and rewrites
+    it after every checkpoint_every completed chunks and after the last one
+    (0: never write).  Raises NoPositiveSamplesError when no draw was
+    positive (expected only for absurdly small n_total).
     """
     case = get_case(case)
-    integer_in(n_total, "n_total", 1)
-    integer_in(chunk_size, "chunk_size", 1)
+    n_total = integer_in(n_total, "n_total", 1)
+    chunk_size = integer_in(chunk_size, "chunk_size", 1)
     if workers is None:
-        workers = os.cpu_count() or 1
+        workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                   else os.cpu_count() or 1)
     integer_in(workers, "workers", 1)
     integer_in(checkpoint_every, "checkpoint_every")
-    integer_in(seed, "seed", 0, SEED_LIMIT)
+    seed = integer_in(seed, "seed", 0, SEED_LIMIT)
 
     t_start = time.perf_counter()
     n_chunks = -(-n_total // chunk_size)
@@ -260,25 +266,21 @@ def estimate(
         start_chunk = ck.chunks_done
         tally = ck.tally
 
-    todo = range(start_chunk, n_chunks)
-    streams = (derive_stream(seed, 0, i) for i in todo)
     task = partial(run_chunk, case.tag, chunk_size=chunk_size)
-    with ExitStack() as stack:
-        if workers == 1 or len(todo) <= 1:
-            mapper = map
-        else:
-            mapper = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
-        # Results are consumed in submission order so a checkpoint always
-        # describes an exact prefix of the chunk sequence.
-        for chunk_idx, counts in zip(todo, mapper(task, streams)):
-            tally = tally.merge(counts)
-            if checkpoint_path and checkpoint_every and (
-                (chunk_idx + 1 - start_chunk) % checkpoint_every == 0 or chunk_idx + 1 == n_chunks
-            ):
-                checkpoint_save(
-                    Checkpoint(case.tag, seed, chunk_size, chunk_idx + 1, tally),
-                    checkpoint_path,
-                )
+    processes = min(workers, n_chunks - start_chunk, WINDOW)
+    with ProcessPoolExecutor(processes) if processes > 1 else nullcontext() as pool:
+        mapper = pool.map if pool else map
+        # Windows of chunks in order, each merged in submission order, so a
+        # checkpoint always describes an exact prefix of the chunk sequence.
+        for lo in range(start_chunk, n_chunks, WINDOW):
+            streams = (derive_stream(seed, 0, i) for i in range(lo, min(lo + WINDOW, n_chunks)))
+            for done, counts in enumerate(mapper(task, streams), lo + 1):
+                tally = tally.merge(counts)
+                if checkpoint_path and checkpoint_every and (
+                    (done - start_chunk) % checkpoint_every == 0 or done == n_chunks
+                ):
+                    checkpoint_save(Checkpoint(case.tag, seed, chunk_size, done, tally),
+                                    checkpoint_path)
 
     if tally.n_positive == 0:
         raise NoPositiveSamplesError(

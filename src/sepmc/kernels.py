@@ -68,17 +68,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .states import POSITIVITY_TOL, get_case, pt_sign_vector
+from .states import CASES, POSITIVITY_TOL, get_case, pt_sign_vector
 
-# Recorded in result manifests: there is a single numpy implementation.
+# Recorded in perfbench's report manifest: there is a single numpy implementation.
 BACKEND = "numpy"
 
 # Points factored together: large enough to amortize per-call overhead over
 # the lanes, small enough for a tile's live columns to stay in cache.
 _TILE = 4096
-
-# Real parts per matrix entry: reals, complex numbers, quaternions.
-_BETA = {"rebit": 1, "qubit": 2, "quaterbit": 4}
 
 # Product table of the quaternions 1, i, j, k: part r of x * conj(y) is the
 # sum over s of PRODUCT_SIGNS[r, s] * x_s * y_PRODUCT_PARTS[r, s].  Its
@@ -115,7 +112,7 @@ def _parts(tag: str, basis: np.ndarray) -> np.ndarray:
     [[a - id, ib + c], [ib - c, a + id]] (`Quaternion.to_block`):
     a = Re B00, b = Im B01, c = Re B01, d = -Im B00.
     """
-    beta = _BETA[tag]
+    beta = CASES[tag].beta
     if beta == 1:
         if np.any(basis.imag):
             raise ValueError(f"{tag}: a generator has a nonzero imaginary part; "

@@ -30,8 +30,10 @@ Integer run values
 comes in: the stream ids here, `sample_ball`'s dim and count, the engine's
 arguments and checkpoint fields, and the CLI flags.  An integer is what
 ``operator.index`` accepts (a Python or numpy integer) except a ``bool``:
-2.5, "3" and True are refused, never read as 2, 3 or 1.  A refused value
-raises ValueError naming the argument, its range and the value.
+2.5, "3" and True are refused, never read as 2, 3 or 1.  An accepted value
+comes back as a Python int, so a numpy integer never reaches a tally or a
+result document.  A refused value raises ValueError naming the argument,
+its range and the value.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ SEED_LIMIT = 1 << 64
 
 
 def integer_in(value, name: str, low: int = 0, high: int = None):
-    """Return value if it is an integer in [low, high), else raise ValueError naming name."""
+    """value as a Python int if it is an integer in [low, high); else ValueError naming name."""
     try:
         index = None if isinstance(value, bool) else operator.index(value)
     except TypeError:
@@ -59,7 +61,7 @@ def integer_in(value, name: str, low: int = 0, high: int = None):
         kind = (f"an integer in [{low}, {high})" if high is not None
                 else "a non-negative integer" if low == 0 else f"an integer >= {low}")
         raise ValueError(f"{name} must be {kind}, got {value!r}")
-    return value
+    return index
 
 
 @dataclass(frozen=True)

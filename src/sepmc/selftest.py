@@ -122,12 +122,9 @@ def check_ball_moments(n_draws: int = 1_000_000) -> tuple:
 
 
 def check_tally_ordering() -> tuple:
+    # run_chunk's TallyCounts refuses a chunk tally out of order (a ValueError)
     parts = [run_chunk("qubit", derive_stream(_SEED + 5, 0, i), 20_000) for i in range(3)]
-    total = TallyCounts.zero()
-    for t in parts:
-        if not 0 <= t.n_sep <= t.n_positive <= t.n_total:
-            return False, "chunk tally ordering violated"
-        total = total.merge(t)
+    total = parts[0].merge(parts[1]).merge(parts[2])
     if total != parts[2].merge(parts[1]).merge(parts[0]):
         return False, "merge is not order-independent"
     if total.merge(TallyCounts.zero()) != total:
@@ -180,8 +177,8 @@ CHECKS = (
 )
 
 
-def run_selftest(report=print) -> list:
-    """Run every check; returns the list of (name, ok, detail)."""
+def run_selftest() -> list:
+    """Run and print every check; returns the list of (name, ok, detail)."""
     results = []
     for name, fn in CHECKS:
         try:
@@ -189,6 +186,5 @@ def run_selftest(report=print) -> list:
         except Exception as exc:  # a crashing check is a failing check
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
         results.append((name, ok, detail))
-        if report:
-            report(f"{'ok  ' if ok else 'FAIL'} {name}: {detail}")
+        print(f"{'ok  ' if ok else 'FAIL'} {name}: {detail}")
     return results

@@ -48,6 +48,7 @@ class StateCase:
     dim: int        # ambient (complex) matrix dimension d
     num_coeffs: int # coefficient dimension m
     radius: float   # outsphere radius sqrt(1 - 1/d)
+    beta: int       # Dyson index: real parts per entry (1 real, 2 complex, 4 quaternion)
 
     @property
     def labels(self) -> tuple:
@@ -61,9 +62,9 @@ class StateCase:
         return self.tag
 
 
-REBIT = StateCase("rebit", 4, 9, np.sqrt(3 / 4))
-QUBIT = StateCase("qubit", 4, 15, np.sqrt(3 / 4))
-QUATERBIT = StateCase("quaterbit", 8, 27, np.sqrt(7 / 8))
+REBIT = StateCase("rebit", 4, 9, np.sqrt(3 / 4), 1)
+QUBIT = StateCase("qubit", 4, 15, np.sqrt(3 / 4), 2)
+QUATERBIT = StateCase("quaterbit", 8, 27, np.sqrt(7 / 8), 4)
 
 CASES = {c.tag: c for c in (REBIT, QUBIT, QUATERBIT)}
 

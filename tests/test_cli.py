@@ -45,6 +45,18 @@ class TestConjectureCommand:
         assert doc["tail_bound"] <= 1e-12 * doc["value"]
         assert doc["version"] == __version__
 
+    def test_field_order(self, capsys):
+        code, out, _ = run_cli(capsys, "conjecture", "--alpha", "2")
+        assert code == 0
+        assert list(parse_doc(out)) == [
+            "schema", "command", "alpha", "value", "terms_used", "tail_bound",
+            "rel_tol", "wall_time_s", "version",
+        ]
+
+    def test_case_alpha_is_half_the_dyson_index(self):
+        assert cli.CASE_ALPHA == {"rebit": 0.5, "qubit": 1.0, "quaterbit": 2.0}
+        assert all(cli.CASE_ALPHA[tag] == case.beta / 2 for tag, case in states.CASES.items())
+
     def test_alpha_half(self, capsys):
         code, out, _ = run_cli(capsys, "conjecture", "--alpha", "0.5")
         assert code == 0

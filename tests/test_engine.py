@@ -1,4 +1,6 @@
+import json
 import os
+from dataclasses import asdict, astuple
 from functools import lru_cache
 from types import SimpleNamespace
 
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sepmc import kernels
+from sepmc import engine, kernels
 from sepmc.algebra import Quaternion, min_eigenvalue
 from sepmc.engine import (
     CHECKPOINT_MAX_BYTES,
@@ -474,11 +476,96 @@ class TestEstimate:
         with pytest.raises(ValueError, match="n_total"):
             estimate("rebit", seed=0, n_total=2.5, workers=1, chunk_size=10)
 
+    def test_numpy_integers_come_back_as_python_ints(self):
+        # TallyCounts promises Python ints: exact at any scale, and JSON-serializable
+        res = estimate("rebit", seed=np.uint64(3), n_total=np.int64(2000), workers=1,
+                       chunk_size=np.int64(1000))
+        assert [type(v) for v in astuple(res.tally)] == [int, int, int]
+        assert type(res.seed) is int
+        json.dumps(asdict(res.tally))
+
     def test_std_err_scaling(self):
         small = estimate("rebit", seed=11, n_total=100_000, workers=1, chunk_size=100_000)
         big = estimate("rebit", seed=11, n_total=1_600_000, workers=2, chunk_size=100_000)
         ratio = small.std_err / big.std_err
         assert ratio == pytest.approx(4.0, rel=0.2)
+
+
+def _spy_pools(monkeypatch):
+    """Replace engine's process pool by one that records its size and, in events, each submit."""
+    sizes, events = [], []
+
+    class Spy(engine.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+        def submit(self, *args, **kwargs):
+            events.append("submit")
+            return super().submit(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", Spy)
+    return sizes, events
+
+
+class TestScheduler:
+    def test_pool_no_larger_than_the_chunks_left(self, monkeypatch, tmp_path):
+        sizes, _ = _spy_pools(monkeypatch)
+        estimate("rebit", seed=1, n_total=10_000, workers=4, chunk_size=5000)
+        assert sizes == [2]
+        estimate("rebit", seed=1, n_total=5000, workers=4, chunk_size=5000)
+        assert sizes == [2]
+        # a resumed run counts only the chunks it has left
+        path = tmp_path / "run.ckpt"
+        estimate("rebit", seed=1, n_total=15_000, workers=1, chunk_size=5000, checkpoint_path=path)
+        estimate("rebit", seed=1, n_total=20_000, workers=4, chunk_size=5000, checkpoint_path=path)
+        estimate("rebit", seed=1, n_total=20_000, workers=4, chunk_size=5000, checkpoint_path=path)
+        assert sizes == [2]
+
+    def test_pool_no_larger_than_the_window(self, monkeypatch):
+        sizes, _ = _spy_pools(monkeypatch)
+        monkeypatch.setattr(engine, "WINDOW", 3)
+        estimate("rebit", seed=1, n_total=50_000, workers=8, chunk_size=5000)
+        assert sizes == [3]
+
+    def test_auto_counts_usable_cpus(self, monkeypatch):
+        sizes, _ = _spy_pools(monkeypatch)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        res = estimate("rebit", seed=1, n_total=20_000, workers=None, chunk_size=5000)
+        assert sizes == []
+        assert res.tally == estimate("rebit", seed=1, n_total=20_000, workers=1,
+                                     chunk_size=5000).tally
+
+    def test_window_bounds_chunks_in_flight(self, monkeypatch, tmp_path):
+        # chunks are submitted a window at a time and merged in order, so no
+        # more than WINDOW results are ever held, and every checkpoint is the
+        # one a one-process run writes
+        monkeypatch.setattr(engine, "WINDOW", 3)
+        sizes, events = _spy_pools(monkeypatch)
+        real_save = engine.checkpoint_save
+
+        def run(workers):
+            path = tmp_path / f"workers{workers}.ckpt"
+            files = []
+
+            def save(state, p):
+                events.append("merge")
+                real_save(state, p)
+                files.append(path.read_bytes())
+
+            monkeypatch.setattr(engine, "checkpoint_save", save)
+            res = estimate("rebit", seed=9, n_total=50_000, workers=workers, chunk_size=5000,
+                           checkpoint_path=path, checkpoint_every=1)
+            return res.tally, files
+
+        serial = run(1)
+        events.clear()
+        assert run(2) == serial
+        assert sizes == [2]
+        assert len(serial[1]) == 10
+        assert events.count("submit") == events.count("merge") == 10
+        in_flight = np.cumsum([1 if e == "submit" else -1 for e in events])
+        assert in_flight.max() == 3
 
 
 class TestCheckpoint:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from sepmc.sampler import StreamSpec, ball_from_draws, derive_stream, sample_ball
+from sepmc.sampler import StreamSpec, ball_from_draws, derive_stream, integer_in, sample_ball
 
 
 class TestStreamSpec:
@@ -42,6 +42,11 @@ class TestStreamSpec:
         with pytest.raises(ValueError, match="chunk"):
             derive_stream(1, 0, 0.5)
         assert derive_stream(np.uint64(2**64 - 1), np.int64(3), 0).seed == 2**64 - 1
+
+    def test_accepted_integers_come_back_as_python_ints(self):
+        for value in (np.uint64(2**64 - 1), np.int64(3), np.int8(0), 7):
+            got = integer_in(value, "x", 0, 2**64)
+            assert type(got) is int and got == value
 
     def test_worker_streams_uncorrelated(self):
         n = 1_000_000

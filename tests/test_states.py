@@ -56,6 +56,12 @@ class TestCases:
             assert len(case.labels) == case.num_coeffs
             assert case.basis.shape == (case.num_coeffs, case.dim, case.dim)
 
+    def test_number_system(self):
+        # the Dyson index: real parts per matrix entry over the reals, complex
+        # numbers and quaternions
+        assert [case.beta for case in CASES.values()] == [1, 2, 4]
+        assert [REBIT.beta, QUBIT.beta, QUATERBIT.beta] == [1, 2, 4]
+
     def test_get_case(self):
         assert get_case("qubit") is QUBIT
         assert get_case(QUBIT) is QUBIT
