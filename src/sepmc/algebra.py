@@ -1,13 +1,30 @@
-"""Quaternion arithmetic, Pauli tensor generators and small Hermitian eigen-tests.
+"""Quaternions and number systems, Pauli tensor generators and small Hermitian eigen-tests.
 
 Everything here is pure linear algebra over fixed small dimensions (2x2
 quaternion blocks, 4x4 and 8x8 Hermitian matrices).  All functions are pure
 and thread-safe.
+
+Number systems.  Each state family is a 4x4 Hermitian matrix over its own
+number system, with beta real parts per matrix entry: the reals for rebit
+(beta = 1), the complex numbers for qubit (beta = 2) and the quaternions
+for quaterbit (beta = 4).  A quaterbit's 8x8 complex rho is the 2x2 block
+form of a 4x4 quaternion matrix Q (`Quaternion.to_block`), and rho +
+tol*I_8 is the block form of Q + tol*I_4, so factoring Q decides the same
+question as factoring rho without computing every entry twice.  This module
+is the one place that states how an entry is stored (`entry_parts`) and
+multiplied (`PRODUCT_SIGNS`, `PRODUCT_PARTS`, `mul_conj`).
+
+Product table.  Part r of x * conj(y) is the sum over s, in order, of
+PRODUCT_SIGNS[r, s] * x_s * y_(r xor s), with PRODUCT_PARTS[r, s] = r xor s.
+The signs are read off `Quaternion.__mul__` and `conjugate` on the units
+1, i, j, k.  The table's leading beta x beta block is the table of the
+complex (beta = 2) and real (beta = 1) numbers, since the product of two
+elements with zero parts from beta on has zero parts from beta on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -60,6 +77,55 @@ class Quaternion:
         return np.array(
             [[a - 1j * d, 1j * b + c], [1j * b - c, a + 1j * d]]
         )
+
+
+_UNITS = [Quaternion(*row) for row in np.eye(4)]
+PRODUCT_SIGNS = np.array([[astuple(_UNITS[s] * _UNITS[r ^ s].conjugate())[r]
+                           for s in range(4)] for r in range(4)])
+PRODUCT_PARTS = np.arange(4)[:, None] ^ np.arange(4)
+
+
+def entry_parts(beta: int, matrices: np.ndarray, name: str) -> np.ndarray:
+    """The entries of a stack of matrices over the beta number system, as (beta, m, n, n) real parts.
+
+    beta = 1 reads the real parts and beta = 2 the real and imaginary parts
+    of (m, n, n) complex matrices.  beta = 4 reads a quaternion
+    a + ib + jc + kd off each 2x2 block [[a - id, ib + c], [ib - c, a + id]]
+    of (m, 2n, 2n) complex matrices, the inverse of `Quaternion.to_block`:
+    a = Re B00, b = Im B01, c = Re B01, d = -Im B00.  Raises ValueError
+    starting with name if a beta = 1 matrix has an imaginary part or a
+    beta = 4 block is not of that form.
+    """
+    if beta == 1:
+        if np.any(matrices.imag):
+            raise ValueError(f"{name}: a generator has a nonzero imaginary part; "
+                             "the real kernel cannot represent it")
+        return matrices.real[None]
+    if beta == 2:
+        return np.stack([matrices.real, matrices.imag])
+    m, n = matrices.shape[0], matrices.shape[1] // 2
+    blocks = matrices.reshape(m, n, 2, n, 2)
+    b00, b01 = blocks[:, :, 0, :, 0], blocks[:, :, 0, :, 1]
+    if not (np.array_equal(blocks[:, :, 1, :, 1], b00.conj())
+            and np.array_equal(blocks[:, :, 1, :, 0], -b01.conj())):
+        raise ValueError(f"{name}: a 2x2 block of a generator is not of the quaternion "
+                         "form [[a-id, ib+c], [ib-c, a+id]]")
+    return np.stack([b00.real, b01.imag, b01.real, -b00.imag])
+
+
+def mul_conj(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Part r of x * conj(y), for x of shape (beta, rows, k, lanes) and y of shape (beta, k, lanes).
+
+    Every product x_s * (sign * y_(r xor s)) is formed in one broadcast
+    multiply and summed over s in order; the result has x's shape.
+    """
+    beta = len(x)
+    conj_y = y[PRODUCT_PARTS[:beta, :beta]] * PRODUCT_SIGNS[:beta, :beta, None, None]
+    prod = x[None] * conj_y[:, :, None]
+    out = prod[:, 0]
+    for s in range(1, beta):
+        out += prod[:, s]
+    return out
 
 
 # Generator label sets.  A label is the index tuple of a Pauli tensor:
@@ -138,8 +204,9 @@ def check_hermitian(H: np.ndarray, tol: float = HERMITICITY_TOL) -> None:
     H = np.asarray(H)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {H.shape}")
-    dev = float(np.max(np.abs(H - H.conj().T)))
-    if dev > tol:
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which is refused below
+        dev = float(np.max(np.abs(H - H.conj().T)))
+    if not dev <= tol:
         raise ValueError(f"matrix is not Hermitian: max deviation {dev:.3e} > {tol:.0e}")
 
 

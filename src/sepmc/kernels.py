@@ -7,15 +7,10 @@ on the measure-zero tolerance boundary.  The PPT verdict runs the same
 factorization on the partial transpose, whose coefficient vector is the
 point with the signs of `states.pt_sign_vector` applied.
 
-Number systems.  Each family is factored over its own number system, with
-beta real parts per matrix entry: the reals for rebit (beta = 1), the
-complex numbers for qubit (beta = 2) and the quaternions for quaterbit
-(beta = 4).  Every family is then a 4x4 Hermitian matrix over its number
-system.  A quaterbit's 8x8 complex rho is the 2x2 block form of a 4x4
-quaternion matrix Q (`algebra.Quaternion.to_block`), and rho + tol*I_8 is
-the block form of Q + tol*I_4, so factoring Q decides the same question
-without computing every entry twice.  A rebit has no imaginary half to
-factor.
+Number systems.  Each family is factored as a 4x4 Hermitian matrix over
+its own number system, beta real parts per entry (rebit over the reals,
+qubit over the complex numbers, quaterbit over the quaternions); `algebra`
+states how an entry is stored and multiplied.
 
 Layout.  Points are scored in tiles of 4096.  Within a family every nonzero
 part of a generator entry has one magnitude kappa (1/2 for rebit and qubit,
@@ -46,16 +41,16 @@ Arithmetic.  An entry is the sum of c_a * G_a[i, j] in increasing generator
 index, from 1/d on the diagonal and from 0 below it; the pivot is
 rho[j, j] + tol minus |L[j, k]|^2 for k ascending, each norm the sum of the
 squares of its beta parts in part order; an entry below it subtracts the
-product L[i, k] * conj(L[j, k]) for k ascending, whose part r is the sum
-over s in order of PRODUCT_SIGNS[r, s] * x_s * y_(r xor s); and it is
-scaled by 1/L[j, j].  The entry programs give every entry the bits of that
-sum: rounding is symmetric in sign, so c*(-kappa) = -(c*kappa),
-x + (-y) = x - y, 0 + y = y and 0 - y = -y, and only the sign of an exact
-zero can differ, which no later comparison or nonzero value sees.  The
-qubit update is op for op the complex one, (ar*br + ai*bi, ai*br - ar*bi),
-as -(ar*bi) + ai*br = ai*br - ar*bi exactly, and the rebit one is the
-complex one with its operations on exact zeros dropped, so rebit and qubit
-verdicts keep their bits.  A quaterbit verdict equals the one of the 8x8
+product L[i, k] * conj(L[j, k]) for k ascending, each part a sum over the
+product table in order (`algebra.mul_conj`); and it is scaled by 1/L[j, j].
+The entry programs give every entry the bits of that sum: rounding is
+symmetric in sign, so c*(-kappa) = -(c*kappa), x + (-y) = x - y, 0 + y = y
+and 0 - y = -y, and only the sign of an exact zero can differ, which no
+later comparison or nonzero value sees.  The qubit update is op for op the
+complex one, (ar*br + ai*bi, ai*br - ar*bi), as -(ar*bi) + ai*br =
+ai*br - ar*bi exactly, and the rebit one is the complex one with its
+operations on exact zeros dropped, so rebit and qubit verdicts keep their
+bits.  A quaterbit verdict equals the one of the 8x8
 complex factorization in exact arithmetic.  Dropping lanes changes which
 lanes are computed, never the arithmetic of the ones that remain.  The
 arithmetic is real, elementwise and unfused (no FMA), so a verdict depends
@@ -68,6 +63,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .algebra import entry_parts, mul_conj
 from .states import CASES, POSITIVITY_TOL, get_case, pt_sign_vector
 
 # Recorded in perfbench's report manifest: there is a single numpy implementation.
@@ -76,16 +72,6 @@ BACKEND = "numpy"
 # Points factored together: large enough to amortize per-call overhead over
 # the lanes, small enough for a tile's live columns to stay in cache.
 _TILE = 4096
-
-# Product table of the quaternions 1, i, j, k: part r of x * conj(y) is the
-# sum over s of PRODUCT_SIGNS[r, s] * x_s * y_PRODUCT_PARTS[r, s].  Its
-# leading beta x beta block is the table of the complex (beta = 2) and real
-# (beta = 1) numbers.
-PRODUCT_SIGNS = np.array([[1.0, 1.0, 1.0, 1.0],
-                          [-1.0, 1.0, -1.0, 1.0],
-                          [-1.0, 1.0, 1.0, -1.0],
-                          [-1.0, -1.0, 1.0, 1.0]])
-PRODUCT_PARTS = np.arange(4)[:, None] ^ np.arange(4)
 
 
 def _program(init, signs):
@@ -105,39 +91,14 @@ def _column_tables(signs, init):
     )
 
 
-def _parts(tag: str, basis: np.ndarray) -> np.ndarray:
-    """The generators' entries over the family's number system, as (beta, m, d, d) real parts.
-
-    A quaternion a + ib + jc + kd is read off its 2x2 block
-    [[a - id, ib + c], [ib - c, a + id]] (`Quaternion.to_block`):
-    a = Re B00, b = Im B01, c = Re B01, d = -Im B00.
-    """
-    beta = CASES[tag].beta
-    if beta == 1:
-        if np.any(basis.imag):
-            raise ValueError(f"{tag}: a generator has a nonzero imaginary part; "
-                             "the real kernel cannot represent it")
-        return basis.real[None]
-    if beta == 2:
-        return np.stack([basis.real, basis.imag])
-    m, n = basis.shape[0], basis.shape[1] // 2
-    blocks = basis.reshape(m, n, 2, n, 2)
-    b00, b01 = blocks[:, :, 0, :, 0], blocks[:, :, 0, :, 1]
-    if not (np.array_equal(blocks[:, :, 1, :, 1], b00.conj())
-            and np.array_equal(blocks[:, :, 1, :, 0], -b01.conj())):
-        raise ValueError(f"{tag}: a 2x2 block of a generator is not of the quaternion "
-                         "form [[a-id, ib+c], [ib-c, a+id]]")
-    return np.stack([b00.real, b01.imag, b01.real, -b00.imag])
-
-
 @lru_cache(maxsize=None)
 def case_tables(tag: str):
     """(kappa, beta, tables, pt_tables): assembly of rho = I/d + sum_a c_a G_a for one family.
 
     rho is read as a 4x4 matrix over the family's number system, beta real
-    parts per entry (see `_parts`).  Every nonzero part of a generator entry
-    is +-kappa, so with Y = kappa * c (one row per generator) each part of
-    each entry of rho is a signed sum of rows of Y.  Each is compiled into
+    parts per entry (see `algebra.entry_parts`).  Every nonzero part of a
+    generator entry is +-kappa, so with Y = kappa * c (one row per
+    generator) each part of each entry of rho is a signed sum of rows of Y.  Each is compiled into
     one program (init, ops), 1/d on the diagonal and 0 below it: op(init,
     Y[a]) for the first (op, a) in ops, then op(entry, Y[a]) for the rest,
     one np.add or np.subtract per generator in increasing generator index;
@@ -152,7 +113,7 @@ def case_tables(tag: str):
     system.
     """
     basis = get_case(tag).basis
-    parts = _parts(tag, basis)
+    parts = entry_parts(CASES[tag].beta, basis, tag)
     magnitudes = np.abs(parts[parts != 0])
     kappa = float(magnitudes[0])
     if np.any(magnitudes != kappa):
@@ -187,8 +148,6 @@ def _positive_lanes(Y: np.ndarray, beta: int, tables) -> np.ndarray:
     """Columns of Y (kappa times one point each) whose rho + POSITIVITY_TOL*I is positive definite."""
     d = len(tables)
     n = Y.shape[1]
-    signs = PRODUCT_SIGNS[:beta, :beta, None, None]
-    parts = PRODUCT_PARTS[:beta, :beta]
     L = np.empty((beta, d, d, n))  # L[p, i, j]: part p of entry (i, j), lanes last
     for j, (pivot, lower) in enumerate(tables):
         s = _entry(pivot, Y, np.empty(n))
@@ -218,13 +177,7 @@ def _positive_lanes(Y: np.ndarray, beta: int, tables) -> np.ndarray:
             _entry(program, Y, L[part, i, j])
         c = L[:, j + 1:, j]
         if j:
-            # every product x_s * (sign * y_(r xor s)) for every k in one multiply,
-            # summed over s in order into prod[:, 0]: part r of L[i, k] * conj(L[j, k])
-            conj_row = L[:, j, :j][parts] * signs
-            prod = L[None, :, j + 1:, :j] * conj_row[:, :, None]
-            update = prod[:, 0]
-            for s_part in range(1, beta):
-                update += prod[:, s_part]
+            update = mul_conj(L[:, j + 1:, :j], L[:, j, :j])
             for k in range(j):
                 c -= update[:, :, k]
         c *= inv

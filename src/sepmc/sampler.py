@@ -85,9 +85,9 @@ class StreamSpec:
         return np.random.Generator(np.random.Philox(ss))
 
 
-def derive_stream(seed: int, worker: int, chunk: int) -> StreamSpec:
-    """Injective (seed, worker, chunk) -> stream mapping."""
-    return StreamSpec(seed, worker, chunk)
+# Injective (seed, worker, chunk) -> stream mapping: the seed is the stream's
+# SeedSequence entropy and (worker, chunk) its spawn key.
+derive_stream = StreamSpec
 
 
 # Radial uniforms are clamped to [tiny, 1 - 2^-40].  The lower clamp keeps

@@ -92,6 +92,8 @@ class CoeffVector:
                 f"{self.case.tag} coefficient vector must have shape "
                 f"({self.case.num_coeffs},), got {c.shape}"
             )
+        if not np.all(np.isfinite(c)):
+            raise ValueError(f"{self.case.tag} coefficient vector must be finite, got {c}")
         object.__setattr__(self, "c", c)
 
     def norm_sq(self) -> float:
@@ -119,12 +121,12 @@ def density_to_coeffs(rho: np.ndarray, case) -> CoeffVector:
         raise ValueError(f"expected shape {(case.dim, case.dim)}, got {rho.shape}")
     algebra.check_hermitian(rho)
     tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > TRACE_TOL:
+    if not abs(tr - 1.0) <= TRACE_TOL:
         raise ValueError(f"matrix trace {tr} is not 1 within {TRACE_TOL:.0e}")
     coeffs = np.real(np.einsum("aij,ji->a", case.basis, rho))
     v = CoeffVector(case, coeffs)
     residual = float(np.max(np.abs(rho - coeffs_to_density(v))))
-    if residual > SPAN_TOL:
+    if not residual <= SPAN_TOL:
         raise SpanError(residual)
     return v
 
@@ -148,7 +150,7 @@ class QuaterbitBlocks:
         if len(self.q) != 6:
             raise ValueError("expected exactly six quaternions")
         s = self.A + self.B + self.C + self.D
-        if abs(s) > 1e-14:
+        if not abs(s) <= 1e-14:
             raise ValueError(f"diagonal blocks must sum to zero, got {s:.3e}")
 
 

@@ -3,14 +3,17 @@ import pytest
 
 from sepmc.algebra import (
     PAULI,
+    PRODUCT_SIGNS,
     QUATERBIT_LABELS,
     QUBIT_LABELS,
     REBIT_LABELS,
     Quaternion,
+    entry_parts,
     generator_basis,
     generator_matrix,
     labels_for,
     min_eigenvalue,
+    mul_conj,
 )
 
 
@@ -137,6 +140,50 @@ class TestBlockRepresentation:
             det = np.linalg.det(q.to_block())
             assert abs(det.real - q.norm() ** 2) < 1e-10
             assert abs(det.imag) < 1e-10
+
+
+class TestNumberSystems:
+    def test_product_signs_pinned(self):
+        want = np.array([[1.0, 1.0, 1.0, 1.0],
+                         [-1.0, 1.0, -1.0, 1.0],
+                         [-1.0, 1.0, 1.0, -1.0],
+                         [-1.0, -1.0, 1.0, 1.0]])
+        assert PRODUCT_SIGNS.dtype == np.float64
+        assert np.array_equal(PRODUCT_SIGNS, want)
+
+    @pytest.mark.parametrize("beta", [1, 2, 4])
+    def test_mul_conj_against_quaternion_product(self, beta):
+        rng = np.random.default_rng(20 + beta)
+        rows, k, lanes = 3, 2, 5
+        x = rng.standard_normal((beta, rows, k, lanes))
+        y = rng.standard_normal((beta, k, lanes))
+        got = mul_conj(x, y)
+        assert got.shape == x.shape
+        pad = lambda v: Quaternion(*v, *[0.0] * (4 - beta))  # noqa: E731
+        for i in range(rows):
+            for kk in range(k):
+                for n in range(lanes):
+                    p = pad(x[:, i, kk, n]) * pad(y[:, kk, n]).conjugate()
+                    want = [p.a, p.b, p.c, p.d]
+                    assert np.allclose(got[:, i, kk, n], want[:beta], rtol=1e-14, atol=1e-15)
+
+    def test_entry_parts_recovers_quaternion_parts(self):
+        rng = np.random.default_rng(23)
+        m, n = 3, 4
+        parts = rng.standard_normal((4, m, n, n))
+        blocks = np.empty((m, 2 * n, 2 * n), dtype=complex)
+        for a in range(m):
+            for i in range(n):
+                for j in range(n):
+                    q = Quaternion(*parts[:, a, i, j])
+                    blocks[a, 2 * i:2 * i + 2, 2 * j:2 * j + 2] = q.to_block()
+        assert np.array_equal(entry_parts(4, blocks, "test"), parts)
+
+    def test_entry_parts_recovers_complex_and_real_parts(self):
+        rng = np.random.default_rng(24)
+        re, im = rng.standard_normal((2, 3, 4, 4))
+        assert np.array_equal(entry_parts(2, re + 1j * im, "test"), np.stack([re, im]))
+        assert np.array_equal(entry_parts(1, re + 0j, "test"), re[None])
 
 
 class TestLabels:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sepmc import engine, kernels
+from sepmc import algebra, engine, kernels
 from sepmc.algebra import Quaternion, min_eigenvalue
 from sepmc.engine import (
     CHECKPOINT_MAX_BYTES,
@@ -328,8 +328,8 @@ class TestCaseTables:
 def test_product_table_is_quaternion_times_conjugate(beta):
     # part r of x * conj(y) from the table, summed over s in order, against
     # Quaternion.__mul__ on quaternions whose parts from beta on are zero
-    signs = kernels.PRODUCT_SIGNS[:beta, :beta]
-    parts = kernels.PRODUCT_PARTS[:beta, :beta]
+    signs = algebra.PRODUCT_SIGNS[:beta, :beta]
+    parts = algebra.PRODUCT_PARTS[:beta, :beta]
     assert set(parts.ravel()) == set(range(beta))
     rng = np.random.default_rng(beta)
     for _ in range(200):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sepmc.algebra import PAULI, Quaternion
+from sepmc.algebra import PAULI, Quaternion, check_hermitian
 from sepmc.selftest import matrix_partial_transpose, pt_dims
 from sepmc.states import (
     CASES,
@@ -71,6 +71,29 @@ class TestCases:
     def test_coeff_vector_length_checked(self):
         with pytest.raises(ValueError, match="shape"):
             CoeffVector(QUBIT, np.zeros(9))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_coeff_vector_must_be_finite(self, bad):
+        # refused at construction, before an eigensolver can meet it
+        with pytest.raises(ValueError, match="^qubit coefficient vector must be finite"):
+            is_positive(CoeffVector(QUBIT, [bad] * 15))
+        c = np.zeros(27)
+        c[5] = bad
+        with pytest.raises(ValueError, match="^quaterbit coefficient vector must be finite"):
+            CoeffVector(QUATERBIT, c)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("check, message", [
+    (lambda x: check_hermitian(np.full((4, 4), x)), "not Hermitian"),
+    (lambda x: density_to_coeffs(np.full((4, 4), x), "qubit"), "not Hermitian"),
+    (lambda x: QuaterbitBlocks(x, -x, 0, 0, (Quaternion(0, 0, 0, 0),) * 6), "sum to zero"),
+], ids=["check_hermitian", "density_to_coeffs", "QuaterbitBlocks"])
+def test_non_finite_input_fails_tolerance_checks(check, message, bad):
+    # every tolerance check reads "refuse unless within tolerance", so a NaN
+    # deviation (inf - inf included) is refused, not passed
+    with pytest.raises(ValueError, match=message):
+        check(bad)
 
 
 class TestCoeffsDensityMaps:
