@@ -4,49 +4,25 @@ Samples rebit, qubit and quaterbit coefficient balls under the
 Hilbert-Schmidt measure, tests positivity and the positive-partial-transpose
 criterion, and compares the estimated separable fraction with the
 conjectured closed-form series value.
+
+The package root holds only `__version__`; every other name is imported
+from its module, so importing one module loads only what it needs:
+
+- `sepmc.algebra`: quaternions and the number systems (entry storage, the
+  product table, `mul_conj`), Pauli-tensor generator bases, Hermitian
+  checks and `min_eigenvalue`.
+- `sepmc.states`: the three families (`REBIT`, `QUBIT`, `QUATERBIT`,
+  `get_case`), `CoeffVector`, coefficient/density maps, quaternion block
+  assembly, and the eigenvalue-route positivity and PPT tests.
+- `sepmc.sampler`: seeded streams (`StreamSpec`, `derive_stream`), the
+  integer rule `integer_in`, and uniform ball sampling.
+- `sepmc.kernels`: the counting kernel `count_tallies` and its table
+  builder `case_tables`.
+- `sepmc.engine`: the chunked estimator `estimate`, `run_chunk`, tallies
+  and checkpoints.
+- `sepmc.conjecture`: the conjectured series `p_of_alpha`.
+- `sepmc.selftest`: the invariant battery behind `sepmc selftest`.
+- `sepmc.cli`: the `sepmc` command line.
 """
 
 __version__ = "0.1.0"
-
-from .algebra import Quaternion, generator_matrix, min_eigenvalue
-from .conjecture import SeriesResult, f_term, p_of_alpha, q_poly
-from .engine import (
-    Checkpoint,
-    EstimateResult,
-    NoPositiveSamplesError,
-    TallyCounts,
-    checkpoint_load,
-    checkpoint_save,
-    estimate,
-    run_chunk,
-)
-from .sampler import StreamSpec, derive_stream, sample_ball
-from .states import (
-    CASES,
-    QUATERBIT,
-    QUBIT,
-    REBIT,
-    CoeffVector,
-    QuaterbitBlocks,
-    StateCase,
-    coeffs_to_density,
-    density_to_coeffs,
-    get_case,
-    is_positive,
-    partial_transpose,
-    ppt_test,
-    quaterbit_from_blocks,
-)
-
-__all__ = [
-    "__version__",
-    "Quaternion", "generator_matrix", "min_eigenvalue",
-    "CASES", "REBIT", "QUBIT", "QUATERBIT", "StateCase", "CoeffVector",
-    "QuaterbitBlocks", "get_case",
-    "coeffs_to_density", "density_to_coeffs", "quaterbit_from_blocks",
-    "is_positive", "partial_transpose", "ppt_test",
-    "StreamSpec", "derive_stream", "sample_ball",
-    "TallyCounts", "EstimateResult", "Checkpoint", "NoPositiveSamplesError",
-    "run_chunk", "estimate", "checkpoint_save", "checkpoint_load",
-    "SeriesResult", "q_poly", "f_term", "p_of_alpha",
-]

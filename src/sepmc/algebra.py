@@ -8,10 +8,10 @@ Number systems.  Each state family is a 4x4 Hermitian matrix over its own
 number system, with beta real parts per matrix entry: the reals for rebit
 (beta = 1), the complex numbers for qubit (beta = 2) and the quaternions
 for quaterbit (beta = 4).  A quaterbit's 8x8 complex rho is the 2x2 block
-form of a 4x4 quaternion matrix Q (`Quaternion.to_block`), and rho +
-tol*I_8 is the block form of Q + tol*I_4, so factoring Q decides the same
-question as factoring rho without computing every entry twice.  This module
-is the one place that states how an entry is stored (`entry_parts`) and
+form of a 4x4 quaternion matrix Q (`block_form`), and rho + tol*I_8 is
+the block form of Q + tol*I_4, so factoring Q decides the same question as
+factoring rho without computing every entry twice.  This module is the one
+place that states how an entry is stored (`block_form`, `entry_parts`) and
 multiplied (`PRODUCT_SIGNS`, `PRODUCT_PARTS`, `mul_conj`).
 
 Product table.  Part r of x * conj(y) is the sum over s, in order, of
@@ -68,15 +68,24 @@ class Quaternion:
         return float(np.sqrt(self.a**2 + self.b**2 + self.c**2 + self.d**2))
 
     def to_block(self) -> np.ndarray:
-        """2x2 complex representation [[a-id, ib+c], [ib-c, a+id]].
+        """2x2 complex representation [[a-id, ib+c], [ib-c, a+id]] (`block_form`).
 
         This is a ring homomorphism: (p*q).to_block() == p.to_block() @
         q.to_block(), and conjugation maps to the conjugate transpose.
         """
-        a, b, c, d = self.a, self.b, self.c, self.d
-        return np.array(
-            [[a - 1j * d, 1j * b + c], [1j * b - c, a + 1j * d]]
-        )
+        return block_form(np.reshape(astuple(self), (4, 1, 1)))
+
+
+def block_form(parts: np.ndarray) -> np.ndarray:
+    """The complex form (..., 2n, 2n) of quaternion matrices given as parts (4, ..., n, n).
+
+    Entry (i, j) = a + ib + jc + kd becomes the 2x2 block
+    [[a-id, ib+c], [ib-c, a+id]] at rows 2i, 2i+1 and columns 2j, 2j+1.
+    """
+    a, b, c, d = parts
+    blocks = np.array([[a - 1j * d, 1j * b + c], [1j * b - c, a + 1j * d]])
+    # (2, 2, ..., n, n) -> (..., n, 2, n, 2) -> (..., 2n, 2n)
+    return np.moveaxis(blocks, (0, 1), (-3, -1)).reshape(*a.shape[:-2], 2 * a.shape[-2], -1)
 
 
 _UNITS = [Quaternion(*row) for row in np.eye(4)]
@@ -91,7 +100,7 @@ def entry_parts(beta: int, matrices: np.ndarray, name: str) -> np.ndarray:
     beta = 1 reads the real parts and beta = 2 the real and imaginary parts
     of (m, n, n) complex matrices.  beta = 4 reads a quaternion
     a + ib + jc + kd off each 2x2 block [[a - id, ib + c], [ib - c, a + id]]
-    of (m, 2n, 2n) complex matrices, the inverse of `Quaternion.to_block`:
+    of (m, 2n, 2n) complex matrices, the inverse of `block_form`:
     a = Re B00, b = Im B01, c = Re B01, d = -Im B00.  Raises ValueError
     starting with name if a beta = 1 matrix has an imaginary part or a
     beta = 4 block is not of that form.
@@ -103,14 +112,12 @@ def entry_parts(beta: int, matrices: np.ndarray, name: str) -> np.ndarray:
         return matrices.real[None]
     if beta == 2:
         return np.stack([matrices.real, matrices.imag])
-    m, n = matrices.shape[0], matrices.shape[1] // 2
-    blocks = matrices.reshape(m, n, 2, n, 2)
-    b00, b01 = blocks[:, :, 0, :, 0], blocks[:, :, 0, :, 1]
-    if not (np.array_equal(blocks[:, :, 1, :, 1], b00.conj())
-            and np.array_equal(blocks[:, :, 1, :, 0], -b01.conj())):
+    b00, b01 = matrices[:, 0::2, 0::2], matrices[:, 0::2, 1::2]
+    parts = np.stack([b00.real, b01.imag, b01.real, -b00.imag])
+    if not np.array_equal(block_form(parts), matrices):
         raise ValueError(f"{name}: a 2x2 block of a generator is not of the quaternion "
                          "form [[a-id, ib+c], [ib-c, a+id]]")
-    return np.stack([b00.real, b01.imag, b01.real, -b00.imag])
+    return parts
 
 
 def mul_conj(x: np.ndarray, y: np.ndarray) -> np.ndarray:

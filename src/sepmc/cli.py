@@ -66,6 +66,13 @@ def _workers(text: str):
     return None if text == "auto" else _integer("workers", 1)(text)
 
 
+def _path(text: str) -> str:
+    """argparse type: a file path, which the empty string is not."""
+    if not text:
+        raise argparse.ArgumentTypeError("must name a file, got ''")
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="sepmc",
@@ -87,17 +94,17 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--workers", type=_workers, default=None,
                      help="worker processes, or 'auto' (default): the usable CPUs")
     est.add_argument("--chunk-size", type=_integer("chunk_size", 1), default=DEFAULT_CHUNK_SIZE)
-    est.add_argument("--checkpoint", default=None, metavar="PATH",
+    est.add_argument("--checkpoint", type=_path, default=None, metavar="PATH",
                      help="checkpoint file to write and resume from")
     est.add_argument("--checkpoint-every", type=_integer("checkpoint_every"), default=1,
                      metavar="K", help="checkpoint every K completed chunks (0: never write)")
-    est.add_argument("--out", default=None, metavar="PATH",
+    est.add_argument("--out", type=_path, default=None, metavar="PATH",
                      help="also write the result document to PATH")
 
     conj = sub.add_parser("conjecture", help="evaluate the conjectured series value")
     conj.add_argument("--alpha", type=float, required=True)
     conj.add_argument("--rel-tol", type=float, default=1e-12)
-    conj.add_argument("--out", default=None, metavar="PATH")
+    conj.add_argument("--out", type=_path, default=None, metavar="PATH")
 
     sub.add_parser("selftest", help="run the invariant battery")
     return parser
@@ -106,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _emit(doc: dict, out_path):
     """Write the document to out_path first, so a failed write prints nothing."""
     text = json.dumps(doc, indent=2)
-    if out_path:
+    if out_path is not None:
         write_text(out_path, text + "\n")
     print(text)
 

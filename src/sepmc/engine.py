@@ -244,13 +244,15 @@ def estimate(
     integer_in(workers, "workers", 1)
     integer_in(checkpoint_every, "checkpoint_every")
     seed = integer_in(seed, "seed", 0, SEED_LIMIT)
+    if checkpoint_path == "":
+        raise ValueError("checkpoint_path must name a file, got ''")
 
     t_start = time.perf_counter()
     n_chunks = -(-n_total // chunk_size)
     start_chunk = 0
     tally = TallyCounts.zero()
 
-    if checkpoint_path and os.path.exists(checkpoint_path):
+    if checkpoint_path is not None and os.path.exists(checkpoint_path):
         ck = checkpoint_load(checkpoint_path)
         for field, theirs, ours in (("case", ck.case_tag, case.tag), ("seed", ck.seed, seed),
                                     ("chunk_size", ck.chunk_size, chunk_size)):
@@ -276,7 +278,7 @@ def estimate(
             streams = (derive_stream(seed, 0, i) for i in range(lo, min(lo + WINDOW, n_chunks)))
             for done, counts in enumerate(mapper(task, streams), lo + 1):
                 tally = tally.merge(counts)
-                if checkpoint_path and checkpoint_every and (
+                if checkpoint_path is not None and checkpoint_every and (
                     (done - start_chunk) % checkpoint_every == 0 or done == n_chunks
                 ):
                     checkpoint_save(Checkpoint(case.tag, seed, chunk_size, done, tally),

@@ -188,6 +188,8 @@ def count_tallies(pts: np.ndarray, tag: str):
     """Count (n_positive, n_separable-by-PPT) over a (n, m) batch of points."""
     case = get_case(tag)
     kappa, beta, tables, pt_tables = case_tables(case.tag)
+    if np.iscomplexobj(pts):
+        raise ValueError(f"{case.tag} points must be real, got complex input")
     pts = np.asarray(pts, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != case.num_coeffs:
         raise ValueError(

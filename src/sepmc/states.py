@@ -9,13 +9,13 @@ radius sqrt(1 - 1/d), which is the ball the Monte Carlo sampler draws from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from . import algebra
-from .algebra import generator_basis, labels_for, min_eigenvalue
+from .algebra import block_form, generator_basis, labels_for, min_eigenvalue
 
 # A state counts as positive when the smallest eigenvalue of its density
 # matrix is >= -POSITIVITY_TOL.  The boundary has measure zero under the
@@ -86,6 +86,8 @@ class CoeffVector:
     c: np.ndarray
 
     def __post_init__(self):
+        if np.iscomplexobj(self.c):
+            raise ValueError(f"{self.case.tag} coefficient vector must be real, got complex input")
         c = np.asarray(self.c, dtype=float)
         if c.shape != (self.case.num_coeffs,):
             raise ValueError(
@@ -154,20 +156,14 @@ class QuaterbitBlocks:
             raise ValueError(f"diagonal blocks must sum to zero, got {s:.3e}")
 
 
-# (row, col) of each quaternion block in the 4x4 quaternionic matrix.
-_BLOCK_SLOTS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-
-
 def blocks_to_matrix(b: QuaterbitBlocks) -> np.ndarray:
     """Assemble the traceless 8x8 complex matrix from its quaternion blocks."""
-    out = np.zeros((8, 8), dtype=complex)
-    for slot, x in enumerate((b.A, b.B, b.C, b.D)):
-        out[2 * slot : 2 * slot + 2, 2 * slot : 2 * slot + 2] = x * np.eye(2)
-    for (r, c), quat in zip(_BLOCK_SLOTS, b.q):
-        blk = quat.to_block()
-        out[2 * r : 2 * r + 2, 2 * c : 2 * c + 2] = blk
-        out[2 * c : 2 * c + 2, 2 * r : 2 * r + 2] = blk.conj().T
-    return out
+    rows, cols = np.triu_indices(4, 1)
+    parts = np.zeros((4, 4, 4))
+    parts[0, range(4), range(4)] = b.A, b.B, b.C, b.D
+    parts[:, rows, cols] = np.transpose([astuple(q) for q in b.q])
+    parts[:, cols, rows] = np.transpose([astuple(q.conjugate()) for q in b.q])
+    return block_form(parts)
 
 
 def quaterbit_from_blocks(b: QuaterbitBlocks) -> CoeffVector:

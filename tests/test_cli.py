@@ -195,9 +195,11 @@ class TestEstimateBadInput:
         (("--workers", "0"), "--workers"),
         (("--workers", "x"), "--workers"),
         (("--samples", None), "--samples"),
+        (("--checkpoint", ""), "--checkpoint"),
+        (("--out", ""), "--out"),
     ], ids=["seed-negative", "seed-2**64", "checkpoint-every-negative", "case-unknown",
             "samples-not-an-integer", "samples-zero", "chunk-size-zero", "workers-zero",
-            "workers-not-an-integer", "samples-missing"])
+            "workers-not-an-integer", "samples-missing", "checkpoint-empty", "out-empty"])
     def test_out_of_range_flag(self, capsys, tmp_path, flags, needle):
         path = tmp_path / "run.ckpt"
         argv = [*self.ARGV, "--checkpoint", str(path)]

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 from dataclasses import asdict, astuple
 from functools import lru_cache
 from types import SimpleNamespace
@@ -145,6 +147,29 @@ class TestKernelBackends:
     def test_input_validation(self):
         with pytest.raises(ValueError, match="shape"):
             kernels.count_tallies(np.zeros((5, 14)), "qubit")
+        with pytest.raises(ValueError, match="^qubit points must be real"):
+            kernels.count_tallies(np.zeros((3, 15)) + 1j, "qubit")
+
+
+def _modules_after(statement):
+    """The names in sys.modules of a fresh interpreter after it runs statement."""
+    src = os.path.dirname(os.path.dirname(kernels.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", f"{statement}; import sys; print(*sys.modules)"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        timeout=120, check=True,
+    )
+    return set(proc.stdout.split())
+
+
+def test_import_layering():
+    # the package root loads none of its modules, and the kernel none of the
+    # layers built on it
+    assert not {m for m in _modules_after("import sepmc") if m.startswith("sepmc.")}
+    loaded = _modules_after("import sepmc.kernels")
+    assert loaded.isdisjoint({"sepmc.engine", "sepmc.sampler", "sepmc.conjecture",
+                              "concurrent.futures"})
 
 
 @lru_cache(maxsize=None)
@@ -456,6 +481,8 @@ class TestEstimate:
             estimate("qubit", seed=0, n_total=10, chunk_size=0)
         with pytest.raises(ValueError, match="checkpoint_every"):
             estimate("qubit", seed=0, n_total=10, checkpoint_every=-3)
+        with pytest.raises(ValueError, match="checkpoint_path"):
+            estimate("rebit", seed=0, n_total=10, workers=1, chunk_size=10, checkpoint_path="")
         # a float seed must neither run seed 1's streams nor reach a checkpoint file
         path = tmp_path / "run.ckpt"
         with pytest.raises(ValueError, match="seed"):

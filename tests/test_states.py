@@ -82,6 +82,11 @@ class TestCases:
         with pytest.raises(ValueError, match="^quaterbit coefficient vector must be finite"):
             CoeffVector(QUATERBIT, c)
 
+    def test_coeff_vector_must_be_real(self):
+        # refused, not cast to its real part
+        with pytest.raises(ValueError, match="^qubit coefficient vector must be real"):
+            CoeffVector(QUBIT, np.ones(15) * (0.01 + 1j))
+
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("check, message", [
