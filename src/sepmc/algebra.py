@@ -206,15 +206,15 @@ def generator_basis(kind: str) -> np.ndarray:
     return stack
 
 
-def check_hermitian(H: np.ndarray, tol: float = HERMITICITY_TOL) -> None:
-    """Raise ValueError if H is not square Hermitian within tol."""
+def check_hermitian(H: np.ndarray) -> None:
+    """Raise ValueError if H is not square Hermitian within HERMITICITY_TOL."""
     H = np.asarray(H)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {H.shape}")
     with np.errstate(invalid="ignore"):  # inf - inf is NaN, which is refused below
         dev = float(np.max(np.abs(H - H.conj().T)))
-    if not dev <= tol:
-        raise ValueError(f"matrix is not Hermitian: max deviation {dev:.3e} > {tol:.0e}")
+    if not dev <= HERMITICITY_TOL:
+        raise ValueError(f"matrix is not Hermitian: max deviation {dev:.3e} > {HERMITICITY_TOL:.0e}")
 
 
 def min_eigenvalue(H: np.ndarray) -> float:

@@ -8,10 +8,11 @@ term built from a degree-5 polynomial and gamma-function ratios,
     term(a) = poly(a) * 2^(-4a-6) * G(3a+5/2) * G(5a+2)
               / (3 * G(a+1) * G(2a+3) * G(5a+13/2)),
 
-with G the gamma function.  Successive-term ratios increase monotonically
-to 27/64, so the series converges geometrically and the tail after the last
-computed term t is bounded by t * q/(1-q) with q = max(observed ratio,
-27/64).
+with G the gamma function.  For every a >= 0 the term ratio
+term(a+1)/term(a) is below q = 27/64 (its limit as a -> infinity; the
+inequality is proven and tested in tests/test_conjecture.py), so the series
+converges geometrically and the tail after the last computed term t is
+bounded by t * q/(1-q).
 
 Known special values: alpha = 1/2 -> 29/64, alpha = 1 -> 8/33,
 alpha = 2 -> 26/323.
@@ -19,6 +20,7 @@ alpha = 2 -> 26/323.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -26,8 +28,9 @@ from dataclasses import dataclass
 # poly coefficients, ascending order
 _POLY = (63000.0, 410694.0, 1042015.0, 1289125.0, 779750.0, 185000.0)
 
-# Limit of term(a+1)/term(a) as a -> infinity; also an upper bound on every
-# ratio encountered for a >= 0 (the ratio increases toward it).
+# Limit of term(a+1)/term(a) as a -> infinity, and a bound on that ratio for
+# every a >= 0: 432*P(a)*D(a) - 64*P(a+1)*N(a) of the ratio's factor form has
+# only non-negative coefficients (tested), so the tail factor is this constant.
 RATIO_LIMIT = 27.0 / 64.0
 
 # Tolerances outside [MIN_REL_TOL, MAX_REL_TOL] are rejected: looser ones
@@ -35,8 +38,6 @@ RATIO_LIMIT = 27.0 / 64.0
 # arithmetic can honor.
 MIN_REL_TOL = 1e-12
 MAX_REL_TOL = 1e-6
-
-_MAX_TERMS = 10_000
 
 _LN2 = math.log(2.0)
 _LN3 = math.log(3.0)
@@ -93,7 +94,9 @@ class SeriesResult:
 def p_of_alpha(alpha: float, rel_tol: float = 1e-12) -> SeriesResult:
     """Sum the series at alpha until the geometric tail bound meets rel_tol.
 
-    Partial sums increase monotonically; the returned tail_bound satisfies
+    Partial sums increase monotonically.  After a term t the tail is below
+    t * q/(1-q) with q = RATIO_LIMIT = 27/64, the proven bound on every term
+    ratio; the returned tail_bound is that bound and satisfies
     tail_bound <= rel_tol * value.  Raises ArithmeticError naming alpha when
     the first term is not a finite normal double (alpha from about 816 up),
     since a subnormal sum carries only a few significant digits.
@@ -109,19 +112,9 @@ def p_of_alpha(alpha: float, rel_tol: float = 1e-12) -> SeriesResult:
             f"series term at alpha={alpha} is {term!r}, not a finite normal double "
             f"(the smallest normal is {sys.float_info.min!r})"
         )
-    for i in range(1, _MAX_TERMS + 1):
+    for i in itertools.count(1):
         total += term
-        nxt = f_term(alpha + i)
-        ratio = nxt / term
-        if ratio >= 1.0:
-            raise ArithmeticError(
-                f"non-contracting term ratio {ratio} at i={i} (alpha={alpha})"
-            )
-        q = max(ratio, RATIO_LIMIT)
-        tail = term * q / (1.0 - q)
+        tail = term * RATIO_LIMIT / (1.0 - RATIO_LIMIT)
         if tail <= rel_tol * total:
             return SeriesResult(alpha, total, i, tail, rel_tol)
-        term = nxt
-    raise ArithmeticError(
-        f"series did not meet rel_tol={rel_tol} within {_MAX_TERMS} terms"
-    )
+        term = f_term(alpha + i)

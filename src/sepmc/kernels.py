@@ -181,7 +181,6 @@ def _positive_lanes(Y: np.ndarray, beta: int, tables) -> np.ndarray:
             for k in range(j):
                 c -= update[:, :, k]
         c *= inv
-    return Y
 
 
 def count_tallies(pts: np.ndarray, tag: str):

@@ -14,10 +14,13 @@ from .algebra import Quaternion
 from .conjecture import p_of_alpha
 from .engine import TallyCounts, run_chunk
 from .kernels import count_tallies
-from .sampler import derive_stream, sample_ball
+from .sampler import ball_batches, derive_stream, sample_ball
 from .states import CASES, coeffs_to_density, CoeffVector, is_positive, partial_transpose, ppt_test
 
 _SEED = 20240901
+
+# Ball points per family in check_ball_moments, streamed one draw batch at a time
+_BALL_DRAWS = 1_000_000
 
 
 def matrix_partial_transpose(rho: np.ndarray, dims: tuple, sys_index: int) -> np.ndarray:
@@ -37,13 +40,13 @@ def matrix_partial_transpose(rho: np.ndarray, dims: tuple, sys_index: int) -> np
 
 def pt_dims(case) -> tuple:
     """Tensor factorization used by the matrix-level PT oracle (B = factor 1)."""
-    return (2, 2) if case.dim == 4 else (2, 2, 2)
+    return (2,) * len(case.labels[0])
 
 
-def check_quaternion_homomorphism(n_pairs: int = 1000) -> tuple:
+def check_quaternion_homomorphism() -> tuple:
     rng = np.random.default_rng(_SEED)
     worst = 0.0
-    for _ in range(n_pairs):
+    for _ in range(1000):
         p = Quaternion(*rng.standard_normal(4))
         q = Quaternion(*rng.standard_normal(4))
         dev = np.max(np.abs((p * q).to_block() - p.to_block() @ q.to_block()))
@@ -63,10 +66,10 @@ def check_generator_gram() -> tuple:
     return worst <= 1e-14, f"max Gram/trace deviation {worst:.2e} (tol 1e-14)"
 
 
-def check_pt_involution(n_vectors: int = 200) -> tuple:
+def check_pt_involution() -> tuple:
     rng = np.random.default_rng(_SEED + 1)
     for case in CASES.values():
-        for _ in range(n_vectors):
+        for _ in range(200):
             v = CoeffVector(case, rng.standard_normal(case.num_coeffs))
             w = partial_transpose(partial_transpose(v))
             if not np.array_equal(w.c, v.c):
@@ -76,12 +79,12 @@ def check_pt_involution(n_vectors: int = 200) -> tuple:
     return True, "involution and isometry exact for all cases"
 
 
-def check_pt_spectrum(n_vectors: int = 200) -> tuple:
+def check_pt_spectrum() -> tuple:
     rng = np.random.default_rng(_SEED + 2)
     worst = 0.0
     for case in CASES.values():
         dims = pt_dims(case)
-        for _ in range(n_vectors):
+        for _ in range(200):
             c = rng.standard_normal(case.num_coeffs)
             c *= case.radius / np.linalg.norm(c)
             v = CoeffVector(case, c)
@@ -92,13 +95,10 @@ def check_pt_spectrum(n_vectors: int = 200) -> tuple:
     return worst <= 1e-10, f"max spectrum deviation {worst:.2e} (tol 1e-10)"
 
 
-def check_kramers_pairs(n_vectors: int = 200) -> tuple:
-    rng = np.random.default_rng(_SEED + 3)
+def check_kramers_pairs() -> tuple:
     case = CASES["quaterbit"]
     worst = 0.0
-    for _ in range(n_vectors):
-        c = rng.standard_normal(case.num_coeffs)
-        c *= case.radius * rng.random() ** (1 / 27) / np.linalg.norm(c)
+    for c in sample_ball(case.num_coeffs, case.radius, derive_stream(_SEED + 3, 0, 0), 200):
         v = CoeffVector(case, c)
         for state in (v, partial_transpose(v)):
             w = np.linalg.eigvalsh(coeffs_to_density(state))
@@ -106,15 +106,19 @@ def check_kramers_pairs(n_vectors: int = 200) -> tuple:
     return worst <= 1e-9, f"max Kramers pair gap {worst:.2e} (tol 1e-9)"
 
 
-def check_ball_moments(n_draws: int = 1_000_000) -> tuple:
+def check_ball_moments() -> tuple:
     details = []
     ok = True
     for k, case in enumerate(CASES.values()):
         m = case.num_coeffs
-        pts = sample_ball(m, case.radius, derive_stream(_SEED + 4, k, 0), n_draws)
-        t = np.einsum("ij,ij->i", pts, pts) / case.radius**2
-        mean = float(t.mean())
-        se = float(t.std(ddof=1) / np.sqrt(n_draws))
+        rng = derive_stream(_SEED + 4, k, 0).generator()
+        s1 = s2 = 0.0
+        for pts in ball_batches(m, case.radius, rng, _BALL_DRAWS):
+            t = np.einsum("ij,ij->i", pts, pts) / case.radius**2
+            s1 += float(t.sum())
+            s2 += float(t @ t)
+        mean = s1 / _BALL_DRAWS
+        se = np.sqrt((s2 - _BALL_DRAWS * mean**2) / (_BALL_DRAWS - 1) / _BALL_DRAWS)
         z = (mean - m / (m + 2)) / se
         details.append(f"{case.tag} z={z:+.2f}")
         ok = ok and abs(z) <= 5.0
@@ -132,13 +136,13 @@ def check_tally_ordering() -> tuple:
     return True, f"3 chunks merged: {total.n_sep}/{total.n_positive}/{total.n_total}"
 
 
-def check_kernel_matches_eigensolver(n_points: int = 300) -> tuple:
+def check_kernel_matches_eigensolver() -> tuple:
     """The Cholesky kernel against the eigenvalue route, row by row, on shrunk-ball points."""
     rng = np.random.default_rng(_SEED + 6)
     details = []
     for k, case in enumerate(CASES.values()):
-        pts = sample_ball(case.num_coeffs, case.radius, derive_stream(_SEED + 6, k, 0), n_points)
-        pts *= rng.uniform(0.05, 0.6, (n_points, 1))
+        pts = sample_ball(case.num_coeffs, case.radius, derive_stream(_SEED + 6, k, 0), 300)
+        pts *= rng.uniform(0.05, 0.6, (len(pts), 1))
         total = (0, 0)
         for row in pts:
             v = CoeffVector(case, row)
@@ -151,7 +155,7 @@ def check_kernel_matches_eigensolver(n_points: int = 300) -> tuple:
         batch = count_tallies(pts, case.tag)
         if batch != total:
             return False, f"{case.tag}: batch tally {batch} is not the sum of its rows {total}"
-        details.append(f"{case.tag} {batch[1]}/{batch[0]}/{n_points}")
+        details.append(f"{case.tag} {batch[1]}/{batch[0]}/{len(pts)}")
     return True, "rows agree (sep/positive/points): " + ", ".join(details)
 
 

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -396,6 +397,19 @@ class TestSelftestCommand:
         assert code == 2
         assert "FAIL kernel-matches-eigensolver" in out
         assert "kernel-matches-eigensolver" in err
+
+    def test_ball_moments_streams_its_draws(self):
+        # 10**6 quaterbit ball points held at once are 216 MB; one draw batch is 14 MB.
+        # numpy reports its buffers to tracemalloc.  A child's ru_maxrss is no
+        # measure here: on Linux it includes what the parent held when it forked.
+        tracemalloc.start()
+        try:
+            ok, _ = selftest.check_ball_moments()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ok
+        assert peak < 100 * 2**20
 
 
 class TestParser:

@@ -1,5 +1,6 @@
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -145,3 +146,96 @@ class TestSeries:
             assert res.value > 0.0
             assert res.tail_bound <= 1e-12 * res.value
             assert res.terms_used < 200
+
+
+def _poly_mul(p, q):
+    """Product of two polynomials given as ascending coefficient lists."""
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def _linear_product(factors):
+    """prod (slope * a + offset) over (slope, offset) pairs, as ascending coefficients."""
+    out = [Fraction(1)]
+    for slope, offset in factors:
+        out = _poly_mul(out, [Fraction(offset), Fraction(slope)])
+    return out
+
+
+def _poly_eval(p, a):
+    return sum(c * a**k for k, c in enumerate(p))
+
+
+def _shift_by_one(p):
+    """Coefficients of p(a + 1)."""
+    out = [Fraction(0)] * len(p)
+    for k, c in enumerate(p):
+        for i in range(k + 1):
+            out[i] += c * math.comb(k, i)
+    return out
+
+
+# term(a+1)/term(a) = P(a+1)/P(a) * N(a) / (16 * D(a)), from the gamma ratios
+_N = _linear_product([(3, Fraction(5, 2)), (3, Fraction(7, 2)), (3, Fraction(9, 2)),
+                      (5, 2), (5, 3), (5, 4), (5, 5), (5, 6)])
+_D = _linear_product([(1, 1), (2, 3), (2, 4), (5, Fraction(13, 2)), (5, Fraction(15, 2)),
+                      (5, Fraction(17, 2)), (5, Fraction(19, 2)), (5, Fraction(21, 2))])
+_P = [Fraction(c) for c in POLY_COEFFS]
+
+
+class TestTailBound:
+    """The term ratio is below RATIO_LIMIT = 27/64 for every a >= 0.
+
+    The ratio is below 27/64 exactly when 432*P(a)*D(a) - 64*P(a+1)*N(a) > 0;
+    a polynomial with non-negative coefficients and a positive constant term
+    is positive on a >= 0.  p_of_alpha's tail bound rests on this.
+    """
+
+    def test_poly_coefficients_are_q_poly(self):
+        # six points fix a degree-5 polynomial
+        for a in range(6):
+            assert _poly_eval(_P, a) == q_poly(float(a))
+
+    def test_factor_form_matches_the_term_ratio(self):
+        for a in (0.0, 0.5, 1.0, 2.0, 3.7, 50.0):
+            x = Fraction(a)
+            ratio = (_poly_eval(_shift_by_one(_P), x) * _poly_eval(_N, x)
+                     / (16 * _poly_eval(_P, x) * _poly_eval(_D, x)))
+            assert float(ratio) == pytest.approx(f_term(a + 1) / f_term(a), rel=1e-9)
+
+    def test_ratio_limit_bounds_every_ratio(self):
+        assert RATIO_LIMIT == 27 / 64
+        lhs = [432 * c for c in _poly_mul(_P, _D)]
+        rhs = [64 * c for c in _poly_mul(_shift_by_one(_P), _N)]
+        diff = [a - b for a, b in zip(lhs, rhs)]
+        assert len(lhs) == len(rhs) == 14
+        assert all(c >= 0 for c in diff)
+        assert diff[0] > 0
+        assert diff[0] == 6_659_789_900_400
+
+
+# (alpha, rel_tol) -> (value.hex(), tail_bound.hex(), terms_used): every bit
+# of p_of_alpha's result across its alpha domain and rel_tol range
+_PINNED = {
+    (0.0, 1e-12): ("0x1.fffffffffe4d9p-1", "0x1.c0987a1d4f5ccp-41", 30),
+    (0.0, 1e-6): ("0x1.fffff0d22587bp-1", "0x1.00bc07e79c149p-21", 15),
+    (0.5, 1e-12): ("0x1.cfffffffff176p-2", "0x1.df8dfa0e622e3p-43", 31),
+    (0.5, 1e-6): ("0x1.cfffec95a85d6p-2", "0x1.47d0d579570bdp-22", 15),
+    (1.0, 1e-12): ("0x1.f07c1f07c0c2bp-3", "0x1.34fac07ae51f4p-43", 31),
+    (1.0, 1e-6): ("0x1.f07c062f4a8b9p-3", "0x1.a2d11d5e6d383p-23", 15),
+    (2.0, 1e-12): ("0x1.49b57f9a8c182p-4", "0x1.00a15293da53fp-44", 31),
+    (2.0, 1e-6): ("0x1.49b56b3be44a7p-4", "0x1.5658d06f36416p-24", 15),
+    (3.7, 1e-12): ("0x1.dcd06734713fbp-7", "0x1.cd6203f743364p-47", 31),
+    (3.7, 1e-6): ("0x1.dcd0586d80f26p-7", "0x1.ed7464365a485p-28", 16),
+    (815.9, 1e-12): ("0x1.d52b0f0ea69dep-1022", "0x0.0000000002016p-1022", 32),
+    (815.9, 1e-6): ("0x1.d52af06654f00p-1022", "0x0.00001eb07bdcap-1022", 16),
+}
+
+
+@pytest.mark.parametrize("alpha,rel_tol", sorted(_PINNED))
+def test_series_results_pinned(alpha, rel_tol):
+    res = p_of_alpha(alpha, rel_tol)
+    assert (res.value.hex(), res.tail_bound.hex(), res.terms_used) == _PINNED[alpha, rel_tol]
