@@ -1,20 +1,22 @@
 """Command line front end: estimate, conjecture, selftest.
 
-Exit codes: 0 success, 1 usage error, 2 numeric or internal failure.  Each
-flag is checked by its argparse type (an integer flag by the library's own
-rule for the argument it feeds, `sampler.integer_in`) and `main` alone maps
-exceptions to exit codes, so every error is one stderr line naming the
-flag, path or field.  Result documents are JSON with a fixed, versioned field order so
-runs can be diffed; every numeric field except wall_time_s is reproducible
-from the flags and seed alone.
+Exit codes: 0 success, 1 usage error, 2 numeric or internal failure, 130
+interrupted.  Each flag is checked by its argparse type (an integer flag by
+the library's own rule for the argument it feeds, `sampler.integer_in`) and
+`main` alone maps exceptions to exit codes, so every error is one stderr
+line naming the flag, path or field.  Result documents are JSON with a
+fixed, versioned field order so runs can be diffed; every numeric field
+except wall_time_s is reproducible from the flags and seed alone.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict
 
 from . import __version__
@@ -38,6 +40,7 @@ CASE_ALPHA = {tag: case.beta / 2 for tag, case in CASES.items()}
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_FAILURE = 2
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports a run Ctrl-C stopped
 
 
 class _Parser(argparse.ArgumentParser):
@@ -186,10 +189,23 @@ def main(argv=None) -> int:
         "selftest": cmd_selftest,
     }[args.command]
     try:
-        return handler(args)
+        code = handler(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+        return code
+    except KeyboardInterrupt:
+        code, message = EXIT_INTERRUPTED, "interrupted"
+        if getattr(args, "checkpoint", None) is not None:
+            message += f"; rerun the same command to resume from checkpoint {args.checkpoint}"
+    except BrokenProcessPool:
+        code, message = EXIT_FAILURE, "error: a worker process died before its chunk was done"
     except OSError as exc:
-        # An unusable --checkpoint or --out path.
-        code, message = EXIT_USAGE, f"error: {exc.filename}: {exc.strerror}"
+        if exc.filename is not None:  # an unusable --checkpoint or --out path
+            code, message = EXIT_USAGE, f"error: {exc.filename}: {exc.strerror}"
+        else:  # a closed stdout, or a process the OS would not start
+            code, message = EXIT_FAILURE, f"error: {exc.strerror or exc}"
+            if isinstance(exc, BrokenPipeError):
+                # the unwritten output must not fail again when Python flushes stdout at exit
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     except CheckpointError as exc:
         code, message = EXIT_USAGE, f"error: checkpoint {args.checkpoint}: {exc}"
     except ValueError as exc:

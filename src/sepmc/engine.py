@@ -21,7 +21,7 @@ import numpy as np
 
 from . import kernels
 from .sampler import DRAW_BATCH, SEED_LIMIT, StreamSpec, ball_batches, derive_stream, integer_in
-from .states import StateCase, get_case
+from .states import get_case
 
 # Samples per kernel call inside a chunk: the sampler's draw batch, so that
 # a chunk's tally depends only on its StreamSpec and chunk_size.
@@ -82,7 +82,6 @@ class TallyCounts:
 
 @dataclass(frozen=True)
 class EstimateResult:
-    case: StateCase
     tally: TallyCounts
     p_hat: float
     std_err: float
@@ -232,8 +231,10 @@ def estimate(
     any interrupt/resume through checkpoints; only wall time varies.  With
     checkpoint_path the run resumes from that file if it exists and rewrites
     it after every checkpoint_every completed chunks and after the last one
-    (0: never write).  Raises NoPositiveSamplesError when no draw was
-    positive (expected only for absurdly small n_total).
+    (0: never write).  A path that cannot be opened, other than a missing
+    file in an existing directory, raises OSError before the first chunk.
+    Raises NoPositiveSamplesError when no draw was positive (expected only
+    for absurdly small n_total).
     """
     case = get_case(case)
     n_total = integer_in(n_total, "n_total", 1)
@@ -252,8 +253,15 @@ def estimate(
     start_chunk = 0
     tally = TallyCounts.zero()
 
-    if checkpoint_path is not None and os.path.exists(checkpoint_path):
-        ck = checkpoint_load(checkpoint_path)
+    ck = None
+    if checkpoint_path is not None:
+        try:
+            ck = checkpoint_load(checkpoint_path)
+        except FileNotFoundError:
+            # no checkpoint yet; a missing directory is refused now, not at the first save
+            if not os.path.isdir(os.path.dirname(checkpoint_path) or os.curdir):
+                raise
+    if ck is not None:
         for field, theirs, ours in (("case", ck.case_tag, case.tag), ("seed", ck.seed, seed),
                                     ("chunk_size", ck.chunk_size, chunk_size)):
             if theirs != ours:
@@ -292,7 +300,6 @@ def estimate(
     p_hat = tally.n_sep / tally.n_positive
     std_err = float(np.sqrt(p_hat * (1.0 - p_hat) / tally.n_positive))
     return EstimateResult(
-        case=case,
         tally=tally,
         p_hat=p_hat,
         std_err=std_err,

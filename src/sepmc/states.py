@@ -58,9 +58,6 @@ class StateCase:
     def basis(self) -> np.ndarray:
         return generator_basis(self.tag)
 
-    def __str__(self) -> str:
-        return self.tag
-
 
 REBIT = StateCase("rebit", 4, 9, np.sqrt(3 / 4), 1)
 QUBIT = StateCase("qubit", 4, 15, np.sqrt(3 / 4), 2)
@@ -75,7 +72,7 @@ def get_case(tag) -> StateCase:
     try:
         return CASES[tag]
     except KeyError:
-        raise ValueError(f"unknown state case {tag!r}") from None
+        raise ValueError(f"unknown state family {tag!r}") from None
 
 
 @dataclass(frozen=True)

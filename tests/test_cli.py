@@ -1,9 +1,13 @@
+import errno
 import json
 import os
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -410,6 +414,102 @@ class TestSelftestCommand:
             tracemalloc.stop()
         assert ok
         assert peak < 100 * 2**20
+
+
+def cli_env(**overrides) -> dict:
+    """Environment for `python -m sepmc.cli` in a fresh interpreter that imports this sepmc."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, **overrides}
+    return {key: value for key, value in env.items() if value is not None}
+
+
+def assert_one_line(err, command, needle):
+    assert err.count("\n") == 1 and err.startswith(f"sepmc {command}: ")
+    assert needle in err
+    assert "None" not in err and "Traceback" not in err
+
+
+class TestStoppedRuns:
+    """A closed stdout, an OS refusal, an interrupt or a dead worker ends in one stderr line."""
+
+    @pytest.mark.parametrize("unbuffered", ["1", None], ids=["unbuffered", "buffered"])
+    def test_closed_stdout_is_a_failure(self, unbuffered):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "sepmc.cli", "conjecture", "--alpha", "1"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True,
+                env=cli_env(PYTHONUNBUFFERED=unbuffered), timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 2
+        assert_one_line(proc.stderr, "conjecture", "error: ")
+
+    @pytest.mark.parametrize("exc, code, needle, checkpoint", [
+        (OSError(errno.EAGAIN, "Resource temporarily unavailable"), 2,
+         "error: Resource temporarily unavailable", True),
+        (BrokenProcessPool("A child process terminated abruptly"), 2,
+         "error: a worker process died", True),
+        (KeyboardInterrupt(), 130, "interrupted", False),
+        (KeyboardInterrupt(), 130, "resume from checkpoint", True),
+    ], ids=["os-error-without-a-file", "worker-died", "interrupt", "interrupt-with-checkpoint"])
+    def test_exception_gives_one_line(self, capsys, monkeypatch, tmp_path, exc, code, needle,
+                                      checkpoint):
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "estimate", fail)
+        path = tmp_path / "run.ckpt"
+        argv = TestEstimateBadInput.ARGV + (("--checkpoint", str(path)) if checkpoint else ())
+        got, out, err = run_cli(capsys, *argv)
+        assert got == code
+        assert out == ""
+        assert_one_line(err, "estimate", needle)
+        if isinstance(exc, KeyboardInterrupt) and checkpoint:
+            assert str(path) in err
+
+    def test_interrupted_run_resumes_to_the_uninterrupted_tally(self, tmp_path):
+        path = tmp_path / "run.ckpt"
+        argv = [sys.executable, "-m", "sepmc.cli", "estimate", "--case", "rebit",
+                "--samples", "3000000", "--seed", "3", "--chunk-size", "100000",
+                "--workers", "2", "--checkpoint", str(path)]
+        # its own process group, as a shell starts a job, so the signal reaches the workers too
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                                env=cli_env(), start_new_session=True)
+        deadline = time.monotonic() + 120
+        try:
+            while not path.exists():
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.01)
+            os.killpg(proc.pid, signal.SIGINT)
+            out, err = proc.communicate(timeout=120)
+            while True:  # the workers exit with the run, or the group is left behind
+                try:
+                    os.killpg(proc.pid, 0)
+                except ProcessLookupError:
+                    break
+                assert time.monotonic() < deadline, "processes left in the run's group"
+                time.sleep(0.05)
+        finally:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            proc.communicate()
+        assert proc.returncode == 130
+        assert out == ""
+        assert_one_line(err, "estimate", f"interrupted; rerun the same command to resume "
+                                         f"from checkpoint {path}")
+        assert checkpoint_load(path).chunks_done < 30
+
+        resumed = subprocess.run(argv, capture_output=True, text=True, env=cli_env(), timeout=300)
+        assert resumed.returncode == 0, resumed.stderr
+        doc = parse_doc(resumed.stdout)
+        full = estimate("rebit", seed=3, n_total=3_000_000, workers=1, chunk_size=100_000)
+        assert TallyCounts(doc["n_total"], doc["n_positive"], doc["n_sep"]) == full.tally
 
 
 class TestParser:

@@ -32,6 +32,7 @@ from sepmc.states import (
     CoeffVector,
     coeffs_to_density,
     density_to_coeffs,
+    get_case,
     is_positive,
     partial_transpose,
     ppt_test,
@@ -751,6 +752,33 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="chunks_done"):
             estimate("rebit", seed=5, n_total=2000, workers=1, chunk_size=1000,
                      checkpoint_path=path, checkpoint_every=1)
+
+    @pytest.mark.parametrize("make", [
+        lambda d: (d / "file").write_text("") or d / "file" / "run.ckpt",
+        lambda d: d / "missing" / "run.ckpt",
+        lambda d: d / ("x" * 300),
+        lambda d: (d / "loop").symlink_to(d / "loop") or d / "loop",
+    ], ids=["parent-is-a-file", "parent-missing", "name-too-long", "symlink-loop"])
+    def test_unusable_path_refused_before_the_first_chunk(self, tmp_path, monkeypatch, make):
+        def no_chunk(*args, **kwargs):
+            raise AssertionError("a chunk ran before the checkpoint path was checked")
+
+        monkeypatch.setattr(engine, "run_chunk", no_chunk)
+        path = str(make(tmp_path))
+        with pytest.raises(OSError) as info:
+            estimate("rebit", seed=5, n_total=2000, workers=1, chunk_size=1000,
+                     checkpoint_path=path)
+        assert info.value.filename == path
+
+    def test_unknown_family_has_one_message(self, tmp_path):
+        message = "^unknown state family 'qutrit'$"
+        for lookup in (algebra.labels_for, algebra.generator_basis, pt_sign_vector, get_case):
+            with pytest.raises(ValueError, match=message):
+                lookup("qutrit")
+        path = tmp_path / "run.ckpt"
+        self._write(path, case="qutrit")
+        with pytest.raises(CheckpointError, match="^field 'case': unknown state family 'qutrit'$"):
+            checkpoint_load(path)
 
 
 _FUZZ_CHUNK = 500
