@@ -753,18 +753,17 @@ class TestCheckpoint:
             estimate("rebit", seed=5, n_total=2000, workers=1, chunk_size=1000,
                      checkpoint_path=path, checkpoint_every=1)
 
-    @pytest.mark.parametrize("make", [
-        lambda d: (d / "file").write_text("") or d / "file" / "run.ckpt",
-        lambda d: d / "missing" / "run.ckpt",
-        lambda d: d / ("x" * 300),
-        lambda d: (d / "loop").symlink_to(d / "loop") or d / "loop",
-    ], ids=["parent-is-a-file", "parent-missing", "name-too-long", "symlink-loop"])
-    def test_unusable_path_refused_before_the_first_chunk(self, tmp_path, monkeypatch, make):
+    @pytest.mark.parametrize("name", ["file/run.ckpt", "missing/run.ckpt", "x" * 300, "loop"],
+                             ids=["parent-is-a-file", "parent-missing", "name-too-long",
+                                  "symlink-loop"])
+    def test_unusable_path_refused_before_the_first_chunk(self, tmp_path, monkeypatch, name):
         def no_chunk(*args, **kwargs):
             raise AssertionError("a chunk ran before the checkpoint path was checked")
 
         monkeypatch.setattr(engine, "run_chunk", no_chunk)
-        path = str(make(tmp_path))
+        (tmp_path / "file").write_text("")
+        (tmp_path / "loop").symlink_to(tmp_path / "loop")
+        path = str(tmp_path / name)
         with pytest.raises(OSError) as info:
             estimate("rebit", seed=5, n_total=2000, workers=1, chunk_size=1000,
                      checkpoint_path=path)

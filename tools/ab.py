@@ -98,7 +98,7 @@ def main(argv=None) -> int:
         seed = args.first_seed + i
         for side in SIDES if i % 2 == 0 else SIDES[::-1]:
             code, result = run_once(getattr(args, side), args.workload, seed, args.seconds)
-            if code != 0 or result is None or result.get("correct") is not True:
+            if code != 0 or result is None or not result["correct"]:
                 ok = False
                 print(f"pair {i} seed {seed} {side}: exit {code}, result {result}", flush=True)
                 if result is None:
@@ -113,8 +113,6 @@ def main(argv=None) -> int:
     failed = {side: ops[side]["failed"] for side in SIDES}
     for name, (better, bound) in spec.items():
         parent, change = values["parent"][name], values["change"][name]
-        if not parent:
-            continue
         label, wins, quartiles = verdict(parent, change, better, bound, failed)
         summary = ", ".join(f"{side} median {q[1]:.6g} [Q1 {q[0]:.6g}, Q3 {q[2]:.6g}]"
                             for side, q in zip(SIDES, quartiles))
