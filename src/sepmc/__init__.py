@@ -9,11 +9,12 @@ The package root holds only `__version__`; every other name is imported
 from its module, so importing one module loads only what it needs:
 
 - `sepmc.algebra`: quaternions and the number systems (entry storage, the
-  product table, `mul_conj`), Pauli-tensor generator bases, Hermitian
-  checks and `min_eigenvalue`.
-- `sepmc.states`: the three families (`REBIT`, `QUBIT`, `QUATERBIT`,
-  `get_case`), `CoeffVector`, coefficient/density maps, quaternion block
-  assembly, and the eigenvalue-route positivity and PPT tests.
+  product table, `mul_conj`), Pauli-tensor generator bases of given
+  labels, Hermitian checks and `min_eigenvalue`; no state families.
+- `sepmc.states`: the one definition of the three families (`REBIT`,
+  `QUBIT`, `QUATERBIT` with their generator labels, `get_case`),
+  `CoeffVector`, coefficient/density maps, quaternion block assembly, and
+  the eigenvalue-route positivity and PPT tests.
 - `sepmc.sampler`: seeded streams (`StreamSpec`, `derive_stream`), the
   integer rule `integer_in`, and uniform ball sampling.
 - `sepmc.kernels`: the counting kernel `count_tallies` and its table

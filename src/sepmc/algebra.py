@@ -2,7 +2,9 @@
 
 Everything here is pure linear algebra over fixed small dimensions (2x2
 quaternion blocks, 4x4 and 8x8 Hermitian matrices).  All functions are pure
-and thread-safe.
+and thread-safe.  The module knows no state families: a generator basis is
+built from whatever Pauli-tensor labels it is given, and each family's
+labels are defined in `states`.
 
 Number systems.  Each state family is a 4x4 Hermitian matrix over its own
 number system, with beta real parts per matrix entry: the reals for rebit
@@ -135,60 +137,16 @@ def mul_conj(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-# Generator label sets.  A label is the index tuple of a Pauli tensor:
-# (i, j) -> sigma_i x sigma_j for the 4x4 cases, (i, j, k) -> sigma_i x
-# sigma_j x sigma_k for the 8x8 quaterbit case.  The quaterbit set is
-# exactly the 27 tensors spanning (traceless) quaternionic Hermitian
-# matrices in their 8x8 complex representation.
+def generator_matrix(label: tuple) -> np.ndarray:
+    """The Pauli tensor of a label, normalized: (sigma_i x sigma_j x ...)/sqrt(dim).
 
-QUBIT_LABELS = tuple(
-    (i, j) for i in range(4) for j in range(4) if (i, j) != (0, 0)
-)
-
-REBIT_LABELS = tuple(
-    (i, j) for (i, j) in QUBIT_LABELS if i in (0, 1, 3) and j in (0, 1, 3)
-) + ((2, 2),)
-
-QUATERBIT_LABELS = (
-    (3, 0, 0), (0, 3, 0), (3, 3, 0),
-    (0, 1, 0), (3, 1, 0),
-    (0, 2, 1), (3, 2, 1),
-    (0, 2, 2), (3, 2, 2),
-    (0, 2, 3), (3, 2, 3),
-    (1, 0, 0), (1, 3, 0),
-    (2, 0, 1), (2, 3, 1),
-    (2, 0, 2), (2, 3, 2),
-    (2, 0, 3), (2, 3, 3),
-    (1, 1, 0), (2, 2, 0),
-    (1, 2, 1), (2, 1, 1),
-    (1, 2, 2), (2, 1, 2),
-    (1, 2, 3), (2, 1, 3),
-)
-
-_LABELS = {
-    "rebit": REBIT_LABELS,
-    "qubit": QUBIT_LABELS,
-    "quaterbit": QUATERBIT_LABELS,
-}
-
-
-def labels_for(kind: str) -> tuple:
-    """Ordered generator labels for a state family ('rebit'|'qubit'|'quaterbit')."""
-    try:
-        return _LABELS[kind]
-    except KeyError:
-        raise ValueError(f"unknown state family {kind!r}") from None
-
-
-def generator_matrix(kind: str, label: tuple) -> np.ndarray:
-    """Orthonormalized Hermitian generator for one label.
-
-    Returns (sigma_i x sigma_j)/2 for the 4x4 families and
-    (sigma_i x sigma_j x sigma_k)/sqrt(8) for the quaterbit family, so that
-    Tr(G_a G_b) = delta_ab and every generator is traceless.
+    A label is the index tuple (i, j, ...) of a Pauli tensor, each index in
+    0-3 (identity, x, y, z).  The tensors of distinct labels satisfy
+    Tr(G_a G_b) = delta_ab, and every label but the all-zero one gives a
+    traceless matrix.  Raises ValueError for an index outside 0-3.
     """
-    if label not in labels_for(kind):
-        raise ValueError(f"label {label!r} is not a valid {kind} generator label")
+    if not all(i in range(4) for i in label):
+        raise ValueError(f"label {label!r} has a Pauli index outside 0-3")
     mat = PAULI[label[0]]
     for idx in label[1:]:
         mat = np.kron(mat, PAULI[idx])
@@ -196,12 +154,12 @@ def generator_matrix(kind: str, label: tuple) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def generator_basis(kind: str) -> np.ndarray:
-    """Stacked (m, d, d) array of all generators of a family, in label order.
+def generator_basis(labels: tuple) -> np.ndarray:
+    """Stacked (m, d, d) array of the generators of a tuple of labels, in label order.
 
     The returned array is read-only (it is cached and shared).
     """
-    stack = np.array([generator_matrix(kind, lab) for lab in labels_for(kind)])
+    stack = np.array([generator_matrix(lab) for lab in labels])
     stack.setflags(write=False)
     return stack
 

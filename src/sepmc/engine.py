@@ -85,7 +85,6 @@ class EstimateResult:
     tally: TallyCounts
     p_hat: float
     std_err: float
-    seed: int
     elapsed_s: float
 
 
@@ -233,8 +232,11 @@ def estimate(
     it after every checkpoint_every completed chunks and after the last one
     (0: never write).  A path that cannot be opened, other than a missing
     file in an existing directory, raises OSError before the first chunk.
-    Raises NoPositiveSamplesError when no draw was positive (expected only
-    for absurdly small n_total).
+    Raises NoPositiveSamplesError when no draw was positive: for rebit and
+    qubit only at small n_total, but for quaterbit at every affordable one,
+    as its states fill about 5.5e-14 of the coefficient ball.  A run that
+    stops early, by an exception or an interrupt, terminates its worker
+    processes before it raises, so no chunk already queued to them is run.
     """
     case = get_case(case)
     n_total = integer_in(n_total, "n_total", 1)
@@ -280,17 +282,26 @@ def estimate(
     processes = min(workers, n_chunks - start_chunk, WINDOW)
     with ProcessPoolExecutor(processes) if processes > 1 else nullcontext() as pool:
         mapper = pool.map if pool else map
-        # Windows of chunks in order, each merged in submission order, so a
-        # checkpoint always describes an exact prefix of the chunk sequence.
-        for lo in range(start_chunk, n_chunks, WINDOW):
-            streams = (derive_stream(seed, 0, i) for i in range(lo, min(lo + WINDOW, n_chunks)))
-            for done, counts in enumerate(mapper(task, streams), lo + 1):
-                tally = tally.merge(counts)
-                if checkpoint_path is not None and checkpoint_every and (
-                    (done - start_chunk) % checkpoint_every == 0 or done == n_chunks
-                ):
-                    checkpoint_save(Checkpoint(case.tag, seed, chunk_size, done, tally),
-                                    checkpoint_path)
+        try:
+            # Windows of chunks in order, each merged in submission order, so a
+            # checkpoint always describes an exact prefix of the chunk sequence.
+            for lo in range(start_chunk, n_chunks, WINDOW):
+                streams = (derive_stream(seed, 0, i)
+                           for i in range(lo, min(lo + WINDOW, n_chunks)))
+                for done, counts in enumerate(mapper(task, streams), lo + 1):
+                    tally = tally.merge(counts)
+                    if checkpoint_path is not None and checkpoint_every and (
+                        (done - start_chunk) % checkpoint_every == 0 or done == n_chunks
+                    ):
+                        checkpoint_save(Checkpoint(case.tag, seed, chunk_size, done, tally),
+                                        checkpoint_path)
+        except BaseException:
+            # Leaving the pool waits for every chunk already queued to a
+            # worker, which map cannot cancel: end the workers first (before
+            # Python 3.14 the pool has no public call for this).
+            for process in tuple(pool._processes.values()) if pool else ():
+                process.terminate()
+            raise
 
     if tally.n_positive == 0:
         raise NoPositiveSamplesError(
@@ -303,6 +314,5 @@ def estimate(
         tally=tally,
         p_hat=p_hat,
         std_err=std_err,
-        seed=seed,
         elapsed_s=time.perf_counter() - t_start,
     )

@@ -64,7 +64,7 @@ from functools import lru_cache
 import numpy as np
 
 from .algebra import entry_parts, mul_conj
-from .states import CASES, POSITIVITY_TOL, get_case, pt_sign_vector
+from .states import POSITIVITY_TOL, get_case, pt_sign_vector
 
 # Recorded in perfbench's report manifest: there is a single numpy implementation.
 BACKEND = "numpy"
@@ -112,8 +112,9 @@ def case_tables(tag: str):
     share one magnitude, or if a generator is not a matrix over its number
     system.
     """
-    basis = get_case(tag).basis
-    parts = entry_parts(CASES[tag].beta, basis, tag)
+    case = get_case(tag)
+    basis = case.basis
+    parts = entry_parts(case.beta, basis, tag)
     magnitudes = np.abs(parts[parts != 0])
     kappa = float(magnitudes[0])
     if np.any(magnitudes != kappa):

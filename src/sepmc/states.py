@@ -1,10 +1,13 @@
 """State families, coefficient-vector <-> density-matrix maps, positivity and PPT tests.
 
-A state is parameterized as rho = I/d + sum_a c_a G_a with orthonormal
-Hermitian generators G_a (see `algebra.generator_basis`), so the coefficient
-vector c is an isometric Hilbert-Schmidt coordinate chart: Tr(rho^2) =
-1/d + |c|^2.  Purity <= 1 then bounds every valid state inside the ball of
-radius sqrt(1 - 1/d), which is the ball the Monte Carlo sampler draws from.
+This is the one place a family is defined: `CASES` holds each family's
+`StateCase`, generator labels included, and `get_case` is the one lookup
+by name.  A state is parameterized as rho = I/d + sum_a c_a G_a with
+orthonormal Hermitian generators G_a, the Pauli tensors of the family's
+labels (`algebra.generator_basis`), so the coefficient vector c is an
+isometric Hilbert-Schmidt coordinate chart: Tr(rho^2) = 1/d + |c|^2.
+Purity <= 1 then bounds every valid state inside the ball of radius
+sqrt(1 - 1/d), which is the ball the Monte Carlo sampler draws from.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import algebra
-from .algebra import block_form, generator_basis, labels_for, min_eigenvalue
+from .algebra import block_form, generator_basis, min_eigenvalue
 
 # A state counts as positive when the smallest eigenvalue of its density
 # matrix is >= -POSITIVITY_TOL.  The boundary has measure zero under the
@@ -40,6 +43,37 @@ class SpanError(ValueError):
         )
 
 
+# Generator label sets.  A label is the index tuple of a Pauli tensor:
+# (i, j) -> sigma_i x sigma_j for the 4x4 cases, (i, j, k) -> sigma_i x
+# sigma_j x sigma_k for the 8x8 quaterbit case.  The quaterbit set is
+# exactly the 27 tensors spanning (traceless) quaternionic Hermitian
+# matrices in their 8x8 complex representation.
+
+QUBIT_LABELS = tuple(
+    (i, j) for i in range(4) for j in range(4) if (i, j) != (0, 0)
+)
+
+REBIT_LABELS = tuple(
+    (i, j) for (i, j) in QUBIT_LABELS if i in (0, 1, 3) and j in (0, 1, 3)
+) + ((2, 2),)
+
+QUATERBIT_LABELS = (
+    (3, 0, 0), (0, 3, 0), (3, 3, 0),
+    (0, 1, 0), (3, 1, 0),
+    (0, 2, 1), (3, 2, 1),
+    (0, 2, 2), (3, 2, 2),
+    (0, 2, 3), (3, 2, 3),
+    (1, 0, 0), (1, 3, 0),
+    (2, 0, 1), (2, 3, 1),
+    (2, 0, 2), (2, 3, 2),
+    (2, 0, 3), (2, 3, 3),
+    (1, 1, 0), (2, 2, 0),
+    (1, 2, 1), (2, 1, 1),
+    (1, 2, 2), (2, 1, 2),
+    (1, 2, 3), (2, 1, 3),
+)
+
+
 @dataclass(frozen=True)
 class StateCase:
     """One of the three bipartite state families."""
@@ -49,19 +83,16 @@ class StateCase:
     num_coeffs: int # coefficient dimension m
     radius: float   # outsphere radius sqrt(1 - 1/d)
     beta: int       # Dyson index: real parts per entry (1 real, 2 complex, 4 quaternion)
-
-    @property
-    def labels(self) -> tuple:
-        return labels_for(self.tag)
+    labels: tuple   # generator labels, in coefficient order
 
     @property
     def basis(self) -> np.ndarray:
-        return generator_basis(self.tag)
+        return generator_basis(self.labels)
 
 
-REBIT = StateCase("rebit", 4, 9, np.sqrt(3 / 4), 1)
-QUBIT = StateCase("qubit", 4, 15, np.sqrt(3 / 4), 2)
-QUATERBIT = StateCase("quaterbit", 8, 27, np.sqrt(7 / 8), 4)
+REBIT = StateCase("rebit", 4, 9, np.sqrt(3 / 4), 1, REBIT_LABELS)
+QUBIT = StateCase("qubit", 4, 15, np.sqrt(3 / 4), 2, QUBIT_LABELS)
+QUATERBIT = StateCase("quaterbit", 8, 27, np.sqrt(7 / 8), 4, QUATERBIT_LABELS)
 
 CASES = {c.tag: c for c in (REBIT, QUBIT, QUATERBIT)}
 
@@ -181,13 +212,17 @@ def pt_sign_vector(tag: str, subsystem: str = "B") -> np.ndarray:
     sigma_y in that slot (sigma_y^T = -sigma_y; the other Paulis are
     symmetric).  Subsystem 'B' is the second index, 'A' the first; for the
     quaterbit labels (i, j, k) the subsystems are i and j while k indexes
-    the 2x2 quaternion representation space, which is not transposed.
+    the 2x2 quaternion representation space, which is not transposed.  The
+    choice matters: for rebit and qubit rho^{T_A} = (rho^{T_B})^T, so both
+    give every state the same verdict, but a quaterbit state can be PPT
+    over one subsystem and not the other; only the two rates agree, as
+    swapping i and j maps the quaterbit labels onto themselves.
     """
     if subsystem not in ("A", "B"):
         raise ValueError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
     pos = 0 if subsystem == "A" else 1
     signs = np.array(
-        [-1.0 if lab[pos] == 2 else 1.0 for lab in labels_for(tag)]
+        [-1.0 if lab[pos] == 2 else 1.0 for lab in get_case(tag).labels]
     )
     signs.setflags(write=False)
     return signs

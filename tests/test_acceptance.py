@@ -172,7 +172,7 @@ def test_criterion_7_homomorphism_and_gram():
         worst_hom = max(worst_hom, float(dev))
     worst_gram = 0.0
     for case in CASES.values():
-        basis = generator_basis(case.tag)
+        basis = generator_basis(case.labels)
         gram = np.einsum("aij,bji->ab", basis, basis)
         worst_gram = max(worst_gram, float(np.max(np.abs(gram - np.eye(case.num_coeffs)))))
     ok = worst_hom <= 1e-12 and worst_gram <= 1e-14

@@ -4,17 +4,14 @@ import pytest
 from sepmc.algebra import (
     PAULI,
     PRODUCT_SIGNS,
-    QUATERBIT_LABELS,
-    QUBIT_LABELS,
-    REBIT_LABELS,
     Quaternion,
     entry_parts,
     generator_basis,
     generator_matrix,
-    labels_for,
     min_eigenvalue,
     mul_conj,
 )
+from sepmc.states import CASES, QUATERBIT_LABELS, QUBIT_LABELS, REBIT_LABELS
 
 
 def _random_quaternion(rng):
@@ -202,14 +199,10 @@ class TestLabels:
         assert set(REBIT_LABELS) == set(QUBIT_LABELS) - imag_killed
         assert (2, 2) in REBIT_LABELS
 
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="unknown"):
-            labels_for("qutrit")
-
 
 class TestGenerators:
     def test_qubit_33_diagonal(self):
-        got = generator_matrix("qubit", (3, 3))
+        got = generator_matrix((3, 3))
         assert np.allclose(got, np.diag([0.5, -0.5, -0.5, 0.5]), rtol=0, atol=0)
 
     def test_unnormalized_pauli_tensor_trace(self):
@@ -225,24 +218,22 @@ class TestGenerators:
 
     @pytest.mark.parametrize("kind", ["rebit", "qubit", "quaterbit"])
     def test_gram_matrix_is_identity(self, kind):
-        basis = generator_basis(kind)
+        basis = generator_basis(CASES[kind].labels)
         m = basis.shape[0]
         gram = np.einsum("aij,bji->ab", basis, basis)
         assert np.max(np.abs(gram - np.eye(m))) <= 1e-14
 
     @pytest.mark.parametrize("kind", ["rebit", "qubit", "quaterbit"])
     def test_traceless_hermitian(self, kind):
-        basis = generator_basis(kind)
+        basis = generator_basis(CASES[kind].labels)
         assert np.max(np.abs(np.trace(basis, axis1=1, axis2=2))) <= 1e-14
         assert np.max(np.abs(basis - np.conj(np.transpose(basis, (0, 2, 1))))) == 0.0
 
     def test_invalid_label(self):
-        with pytest.raises(ValueError, match="not a valid"):
-            generator_matrix("qubit", (0, 0))
-        with pytest.raises(ValueError, match="not a valid"):
-            generator_matrix("rebit", (2, 0))
-        with pytest.raises(ValueError, match="not a valid"):
-            generator_matrix("quaterbit", (0, 0, 1))
+        # a Pauli index outside 0-3 is refused: PAULI[-1] would silently be sigma_z
+        for label in [(0, 4), (-1, 3), (3, 0, -1), (4,)]:
+            with pytest.raises(ValueError, match="Pauli index outside 0-3"):
+                generator_matrix(label)
 
 
 class TestMinEigenvalue:

@@ -471,20 +471,24 @@ class TestStoppedRuns:
         if isinstance(exc, KeyboardInterrupt) and checkpoint:
             assert str(path) in err
 
-    def test_interrupted_run_resumes_to_the_uninterrupted_tally(self, tmp_path):
-        path = tmp_path / "run.ckpt"
-        argv = [sys.executable, "-m", "sepmc.cli", "estimate", "--case", "rebit",
-                "--samples", "3000000", "--seed", "3", "--chunk-size", "100000",
-                "--workers", "2", "--checkpoint", str(path)]
-        # its own process group, as a shell starts a job, so the signal reaches the workers too
+    @staticmethod
+    def _stopped_run(argv, started, stop):
+        """Run argv, stop(proc) it once started(proc) holds, and wait for its whole group to exit.
+
+        Returns (proc, out, err, seconds from stop(proc) until no process of
+        the group is left).
+        """
+        # its own process group, as a shell starts a job, so a signal to the group reaches
+        # the workers too
         proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
                                 env=cli_env(), start_new_session=True)
         deadline = time.monotonic() + 120
         try:
-            while not path.exists():
+            while not started(proc):
                 assert proc.poll() is None and time.monotonic() < deadline
                 time.sleep(0.01)
-            os.killpg(proc.pid, signal.SIGINT)
+            stopped = time.monotonic()
+            stop(proc)
             out, err = proc.communicate(timeout=120)
             while True:  # the workers exit with the run, or the group is left behind
                 try:
@@ -492,24 +496,51 @@ class TestStoppedRuns:
                 except ProcessLookupError:
                     break
                 assert time.monotonic() < deadline, "processes left in the run's group"
-                time.sleep(0.05)
+                time.sleep(0.01)
+            return proc, out, err, time.monotonic() - stopped
         finally:
             try:
                 os.killpg(proc.pid, signal.SIGKILL)
             except ProcessLookupError:
                 pass
             proc.communicate()
+
+    def test_interrupted_run_resumes_to_the_uninterrupted_tally(self, tmp_path):
+        # Six chunks of 4e6 draws, seconds each: when the first is saved, two are
+        # running and the rest queued to the workers, and the interrupt must not
+        # wait for the queued ones.
+        path = tmp_path / "run.ckpt"
+        argv = [sys.executable, "-m", "sepmc.cli", "estimate", "--case", "rebit",
+                "--samples", "24000000", "--seed", "3", "--chunk-size", "4000000",
+                "--workers", "2", "--checkpoint", str(path)]
+        proc, out, err, seconds = self._stopped_run(
+            argv, lambda proc: path.exists(), lambda proc: os.killpg(proc.pid, signal.SIGINT))
         assert proc.returncode == 130
+        assert seconds < 1
         assert out == ""
         assert_one_line(err, "estimate", f"interrupted; rerun the same command to resume "
                                          f"from checkpoint {path}")
-        assert checkpoint_load(path).chunks_done < 30
+        assert checkpoint_load(path).chunks_done < 6
 
         resumed = subprocess.run(argv, capture_output=True, text=True, env=cli_env(), timeout=300)
         assert resumed.returncode == 0, resumed.stderr
         doc = parse_doc(resumed.stdout)
-        full = estimate("rebit", seed=3, n_total=3_000_000, workers=1, chunk_size=100_000)
+        full = estimate("rebit", seed=3, n_total=24_000_000, workers=2, chunk_size=4_000_000)
         assert TallyCounts(doc["n_total"], doc["n_positive"], doc["n_sep"]) == full.tally
+
+    def test_killed_worker_ends_the_run(self):
+        def workers(proc):
+            with open(f"/proc/{proc.pid}/task/{proc.pid}/children") as fh:
+                return [int(pid) for pid in fh.read().split()]
+
+        argv = [sys.executable, "-m", "sepmc.cli", "estimate", "--case", "rebit",
+                "--samples", "40000000", "--chunk-size", "1000000", "--workers", "2"]
+        proc, out, err, _ = self._stopped_run(
+            argv, lambda proc: len(workers(proc)) == 2,
+            lambda proc: os.kill(workers(proc)[0], signal.SIGKILL))
+        assert proc.returncode == 2
+        assert out == ""
+        assert err == "sepmc estimate: error: a worker process died before its chunk was done\n"
 
 
 class TestParser:

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from sepmc.algebra import PAULI, Quaternion, check_hermitian
+from sepmc.sampler import derive_stream, sample_ball
 from sepmc.selftest import matrix_partial_transpose, pt_dims
 from sepmc.states import (
     CASES,
+    POSITIVITY_TOL,
     QUATERBIT,
     QUBIT,
     REBIT,
@@ -324,6 +326,37 @@ class TestPartialTranspose:
         assert got == want
         got_a = {lab for lab, s in zip(QUATERBIT.labels, pt_sign_vector("quaterbit", "A")) if s < 0}
         assert got_a == {lab for lab in QUATERBIT.labels if lab[0] == 2}
+
+    @pytest.mark.parametrize("tag", ["rebit", "qubit"])
+    def test_subsystems_agree_state_by_state(self, tag):
+        # G^T = s_A s_B G for every generator, so rho^{T_A} = (rho^{T_B})^T: one spectrum
+        case = CASES[tag]
+        signs = pt_sign_vector(tag, "A") * pt_sign_vector(tag, "B")
+        assert np.array_equal(case.basis.transpose(0, 2, 1), signs[:, None, None] * case.basis)
+        rng = np.random.default_rng(RNG_SEED + 9)
+        for _ in range(200):
+            v = random_vector(case, rng)
+            assert ppt_test(v, "A") == ppt_test(v, "B")
+
+    def test_quaterbit_subsystems_disagree_state_by_state_not_in_rate(self):
+        # slot k is never transposed, so rho^{T_A} is not (rho^{T_B})^T: a state can
+        # be PPT over one subsystem only
+        def positive(pts):  # is_positive's eigenvalue test, on a batch
+            rho = np.eye(8) / 8 + np.einsum("na,aij->nij", pts, QUATERBIT.basis)
+            return np.linalg.eigvalsh(rho)[:, 0] >= -POSITIVITY_TOL
+
+        c = 0.3 * sample_ball(27, QUATERBIT.radius, derive_stream(9, 0, 0), 20_000)
+        sign_a, sign_b = pt_sign_vector("quaterbit", "A"), pt_sign_vector("quaterbit", "B")
+        pos = positive(c)
+        ppt_a, ppt_b = pos & positive(c * sign_a), pos & positive(c * sign_b)
+        only_a, only_b = np.sum(ppt_a & ~ppt_b), np.sum(ppt_b & ~ppt_a)
+        assert only_a + only_b > 0.25 * pos.sum()
+        # swapping i and j (conjugation by a unitary SWAP) maps the labels onto
+        # themselves and subsystem A onto B, so the two rates are equal in distribution
+        swap = [QUATERBIT.labels.index((j, i, k)) for i, j, k in QUATERBIT.labels]
+        assert np.array_equal(sign_a[swap], sign_b)
+        assert np.array_equal(positive(c[:, swap] * sign_b), positive(c * sign_a))
+        assert abs(only_a - only_b) <= 4 * np.sqrt(only_a + only_b)
 
     def test_bad_subsystem(self):
         with pytest.raises(ValueError, match="subsystem"):
