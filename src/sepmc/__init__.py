@@ -15,14 +15,15 @@ from its module, so importing one module loads only what it needs:
   `QUBIT`, `QUATERBIT` with their generator labels, `get_case`),
   `CoeffVector`, coefficient/density maps, quaternion block assembly, and
   the eigenvalue-route positivity and PPT tests.
-- `sepmc.sampler`: seeded streams (`StreamSpec`, `derive_stream`), the
-  integer rule `integer_in`, and uniform ball sampling.
+- `sepmc.sampler`: seeded streams (`StreamSpec`; `derive_stream` is a
+  second name for it, kept for perfbench), the integer rule `integer_in`,
+  and uniform ball sampling.
 - `sepmc.kernels`: the counting kernel `count_tallies` and its table
   builder `case_tables`.
 - `sepmc.engine`: the chunked estimator `estimate`, `run_chunk`, tallies
   and checkpoints.
 - `sepmc.conjecture`: the conjectured series `p_of_alpha`.
-- `sepmc.selftest`: the invariant battery behind `sepmc selftest`.
+- `sepmc.selftest`: the invariant battery `CHECKS` behind `sepmc selftest`.
 - `sepmc.cli`: the `sepmc` command line.
 """
 

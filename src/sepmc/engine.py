@@ -14,17 +14,16 @@ import stat
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, replace
 from functools import partial
 
 import numpy as np
 
 from . import kernels
-from .sampler import DRAW_BATCH, SEED_LIMIT, StreamSpec, ball_batches, derive_stream, integer_in
+from .sampler import DRAW_BATCH, SEED_LIMIT, StreamSpec, ball_batches, integer_in
 from .states import get_case
 
-# Samples per kernel call inside a chunk: the sampler's draw batch, so that
-# a chunk's tally depends only on its StreamSpec and chunk_size.
+# perfbench imports this alias of DRAW_BATCH; ROADMAP item 8 removes it with a benchmark change.
 KERNEL_BATCH = DRAW_BATCH
 
 DEFAULT_CHUNK_SIZE = 1_000_000
@@ -252,33 +251,31 @@ def estimate(
 
     t_start = time.perf_counter()
     n_chunks = -(-n_total // chunk_size)
-    start_chunk = 0
-    tally = TallyCounts.zero()
-
-    ck = None
+    run = Checkpoint(case.tag, seed, chunk_size, 0, TallyCounts.zero())
     if checkpoint_path is not None:
         try:
-            ck = checkpoint_load(checkpoint_path)
+            loaded = checkpoint_load(checkpoint_path)
         except FileNotFoundError:
             # no checkpoint yet; a missing directory is refused now, not at the first save
             if not os.path.isdir(os.path.dirname(checkpoint_path) or os.curdir):
                 raise
-    if ck is not None:
-        for field, theirs, ours in (("case", ck.case_tag, case.tag), ("seed", ck.seed, seed),
-                                    ("chunk_size", ck.chunk_size, chunk_size)):
-            if theirs != ours:
+        else:
+            for field, theirs, ours in zip(("case", "seed", "chunk_size"),
+                                           astuple(loaded), astuple(run)):
+                if theirs != ours:
+                    raise CheckpointError(
+                        f"field {field!r}: checkpoint has {theirs!r}, run uses {ours!r}"
+                    )
+            if loaded.chunks_done > n_chunks:
                 raise CheckpointError(
-                    f"field {field!r}: checkpoint has {theirs!r}, run uses {ours!r}"
+                    f"field 'chunks_done': checkpoint has {loaded.chunks_done} chunks, "
+                    f"run has only {n_chunks}"
                 )
-        if ck.chunks_done > n_chunks:
-            raise CheckpointError(
-                f"field 'chunks_done': checkpoint has {ck.chunks_done} chunks, "
-                f"run has only {n_chunks}"
-            )
-        start_chunk = ck.chunks_done
-        tally = ck.tally
+            run = loaded
 
     task = partial(run_chunk, case.tag, chunk_size=chunk_size)
+    # checkpoint_every counts the chunks this call completes, not those resumed from
+    start_chunk = run.chunks_done
     processes = min(workers, n_chunks - start_chunk, WINDOW)
     with ProcessPoolExecutor(processes) if processes > 1 else nullcontext() as pool:
         mapper = pool.map if pool else map
@@ -286,15 +283,13 @@ def estimate(
             # Windows of chunks in order, each merged in submission order, so a
             # checkpoint always describes an exact prefix of the chunk sequence.
             for lo in range(start_chunk, n_chunks, WINDOW):
-                streams = (derive_stream(seed, 0, i)
-                           for i in range(lo, min(lo + WINDOW, n_chunks)))
+                streams = (StreamSpec(seed, 0, i) for i in range(lo, min(lo + WINDOW, n_chunks)))
                 for done, counts in enumerate(mapper(task, streams), lo + 1):
-                    tally = tally.merge(counts)
+                    run = replace(run, chunks_done=done, tally=run.tally.merge(counts))
                     if checkpoint_path is not None and checkpoint_every and (
                         (done - start_chunk) % checkpoint_every == 0 or done == n_chunks
                     ):
-                        checkpoint_save(Checkpoint(case.tag, seed, chunk_size, done, tally),
-                                        checkpoint_path)
+                        checkpoint_save(run, checkpoint_path)
         except BaseException:
             # Leaving the pool waits for every chunk already queued to a
             # worker, which map cannot cancel: end the workers first (before
@@ -303,15 +298,15 @@ def estimate(
                 process.terminate()
             raise
 
-    if tally.n_positive == 0:
+    if run.tally.n_positive == 0:
         raise NoPositiveSamplesError(
-            f"no positive samples among {tally.n_total} draws for case "
+            f"no positive samples among {run.tally.n_total} draws for case "
             f"{case.tag}; p_hat is undefined"
         )
-    p_hat = tally.n_sep / tally.n_positive
-    std_err = float(np.sqrt(p_hat * (1.0 - p_hat) / tally.n_positive))
+    p_hat = run.tally.n_sep / run.tally.n_positive
+    std_err = float(np.sqrt(p_hat * (1.0 - p_hat) / run.tally.n_positive))
     return EstimateResult(
-        tally=tally,
+        tally=run.tally,
         p_hat=p_hat,
         std_err=std_err,
         elapsed_s=time.perf_counter() - t_start,

@@ -66,7 +66,7 @@ import numpy as np
 from .algebra import entry_parts, mul_conj
 from .states import POSITIVITY_TOL, get_case, pt_sign_vector
 
-# Recorded in perfbench's report manifest: there is a single numpy implementation.
+# perfbench records this in its report manifest; ROADMAP item 8 removes it with a benchmark change.
 BACKEND = "numpy"
 
 # Points factored together: large enough to amortize per-call overhead over

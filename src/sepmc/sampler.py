@@ -85,8 +85,7 @@ class StreamSpec:
         return np.random.Generator(np.random.Philox(ss))
 
 
-# Injective (seed, worker, chunk) -> stream mapping: the seed is the stream's
-# SeedSequence entropy and (worker, chunk) its spawn key.
+# perfbench imports this alias of StreamSpec; ROADMAP item 8 removes it with a benchmark change.
 derive_stream = StreamSpec
 
 

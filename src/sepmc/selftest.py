@@ -1,9 +1,11 @@
-"""Named invariant battery behind the CLI selftest command.
+"""Invariant battery behind the CLI selftest command.
 
-Each check returns (ok, detail).  The checks deliberately re-derive
-expectations through independent routes (e.g. the matrix-level partial
-transpose by index reshuffling) so they can catch bugs in the production
-paths they shadow.
+Each check is a function ``check_<name>`` returning (ok, detail).  `sepmc
+selftest` runs `CHECKS` in order and prints each under its name, with
+``_`` written as ``-``.  The checks deliberately re-derive expectations
+through independent routes (e.g. the matrix-level partial transpose by
+index reshuffling) so they can catch bugs in the production paths they
+shadow.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from .algebra import Quaternion
 from .conjecture import p_of_alpha
 from .engine import run_chunk
 from .kernels import count_tallies
-from .sampler import ball_batches, derive_stream, sample_ball
+from .sampler import StreamSpec, ball_batches, sample_ball
 from .states import CASES, coeffs_to_density, CoeffVector, is_positive, partial_transpose, ppt_test
 
 _SEED = 20240901
@@ -78,7 +80,7 @@ def check_pt_spectrum() -> tuple:
     worst = 0.0
     for k, case in enumerate(CASES.values()):
         dims = pt_dims(case)
-        for c in sample_ball(case.num_coeffs, case.radius, derive_stream(_SEED + 2, k, 0), 200):
+        for c in sample_ball(case.num_coeffs, case.radius, StreamSpec(_SEED + 2, k, 0), 200):
             v = CoeffVector(case, c)
             lhs = coeffs_to_density(partial_transpose(v))
             rhs = matrix_partial_transpose(coeffs_to_density(v), dims, 1)
@@ -90,7 +92,7 @@ def check_pt_spectrum() -> tuple:
 def check_kramers_pairs() -> tuple:
     case = CASES["quaterbit"]
     worst = 0.0
-    for c in sample_ball(case.num_coeffs, case.radius, derive_stream(_SEED + 3, 0, 0), 200):
+    for c in sample_ball(case.num_coeffs, case.radius, StreamSpec(_SEED + 3, 0, 0), 200):
         v = CoeffVector(case, c)
         for state in (v, partial_transpose(v)):
             w = np.linalg.eigvalsh(coeffs_to_density(state))
@@ -103,7 +105,7 @@ def check_ball_moments() -> tuple:
     ok = True
     for k, case in enumerate(CASES.values()):
         m = case.num_coeffs
-        rng = derive_stream(_SEED + 4, k, 0).generator()
+        rng = StreamSpec(_SEED + 4, k, 0).generator()
         s1 = s2 = 0.0
         for pts in ball_batches(m, case.radius, rng, _BALL_DRAWS):
             t = np.einsum("ij,ij->i", pts, pts) / case.radius**2
@@ -119,7 +121,7 @@ def check_ball_moments() -> tuple:
 
 def check_tally_ordering() -> tuple:
     # run_chunk's TallyCounts refuses a chunk tally out of order (a ValueError)
-    parts = [run_chunk("qubit", derive_stream(_SEED + 5, 0, i), 20_000) for i in range(3)]
+    parts = [run_chunk("qubit", StreamSpec(_SEED + 5, 0, i), 20_000) for i in range(3)]
     total = parts[0].merge(parts[1]).merge(parts[2])
     return True, f"3 chunks merged: {total.n_sep}/{total.n_positive}/{total.n_total}"
 
@@ -129,7 +131,7 @@ def check_kernel_matches_eigensolver() -> tuple:
     rng = np.random.default_rng(_SEED + 6)
     details = []
     for k, case in enumerate(CASES.values()):
-        pts = sample_ball(case.num_coeffs, case.radius, derive_stream(_SEED + 6, k, 0), 300)
+        pts = sample_ball(case.num_coeffs, case.radius, StreamSpec(_SEED + 6, k, 0), 300)
         pts *= rng.uniform(0.05, 0.6, (len(pts), 1))
         total = (0, 0)
         for row in pts:
@@ -157,26 +159,7 @@ def check_conjecture_rationals() -> tuple:
 
 
 CHECKS = (
-    ("quaternion-homomorphism", check_quaternion_homomorphism),
-    ("generator-gram", check_generator_gram),
-    ("pt-involution", check_pt_involution),
-    ("pt-spectrum", check_pt_spectrum),
-    ("kramers-pairs", check_kramers_pairs),
-    ("ball-moments", check_ball_moments),
-    ("tally-ordering", check_tally_ordering),
-    ("kernel-matches-eigensolver", check_kernel_matches_eigensolver),
-    ("conjecture-rationals", check_conjecture_rationals),
+    check_quaternion_homomorphism, check_generator_gram, check_pt_involution, check_pt_spectrum,
+    check_kramers_pairs, check_ball_moments, check_tally_ordering,
+    check_kernel_matches_eigensolver, check_conjecture_rationals,
 )
-
-
-def run_selftest() -> list:
-    """Run and print every check; returns the list of (name, ok, detail)."""
-    results = []
-    for name, fn in CHECKS:
-        try:
-            ok, detail = fn()
-        except Exception as exc:  # a crashing check is a failing check
-            ok, detail = False, f"raised {type(exc).__name__}: {exc}"
-        results.append((name, ok, detail))
-        print(f"{'ok  ' if ok else 'FAIL'} {name}: {detail}")
-    return results

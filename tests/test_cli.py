@@ -380,6 +380,29 @@ class TestSelftestCommand:
         assert "9/9 checks passed" in out
         assert "FAIL" not in out
 
+    def test_checks_print_their_names_in_order(self, capsys):
+        code, out, _ = run_cli(capsys, "selftest")
+        assert code == 0
+        names = [line.split()[1].rstrip(":") for line in out.splitlines()[:-1]]
+        assert names == [
+            "quaternion-homomorphism", "generator-gram", "pt-involution", "pt-spectrum",
+            "kramers-pairs", "ball-moments", "tally-ordering",
+            "kernel-matches-eigensolver", "conjecture-rationals",
+        ]
+
+    def test_raising_check_fails_and_the_rest_still_run(self, capsys, monkeypatch):
+        def boom(*args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(selftest, "p_of_alpha", boom)
+        code, out, err = run_cli(capsys, "selftest")
+        assert code == 2
+        lines = out.splitlines()
+        assert "FAIL conjecture-rationals: raised RuntimeError: boom" in lines
+        assert sum(line.startswith("ok   ") for line in lines) == 8
+        assert lines[-1].startswith("8/9 checks passed")
+        assert err == "failed checks: conjecture-rationals\n"
+
     def test_corrupted_pt_table_names_spectrum_check(self, capsys, monkeypatch):
         real = states.pt_sign_vector
 

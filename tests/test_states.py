@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from sepmc.algebra import PAULI, Quaternion, check_hermitian
-from sepmc.sampler import derive_stream, sample_ball
+from sepmc.kernels import count_tallies
+from sepmc.sampler import StreamSpec, ball_batches, derive_stream, sample_ball
 from sepmc.selftest import matrix_partial_transpose, pt_dims
 from sepmc.states import (
     CASES,
@@ -523,3 +524,33 @@ def test_quaterbit_ppt_fraction_on_flat_body_measure():
     # not the probability (the body measure is symmetric under the swap).
     assert n_disagree > 0
     assert abs(n_ppt_a - n_ppt_b) <= 5 * np.sqrt(n_disagree)
+
+
+def test_rebit_ppt_rate_is_flat_in_the_reduced_bloch_radius():
+    """The rebit PPT rate does not depend on r_A, the Bloch radius of rho_A.
+
+    For real 4x4 states under the Hilbert-Schmidt measure this flatness is
+    a theorem (Lovas and Andai, arXiv:1610.01410), so it tests the measure
+    the ball sampler and the kernel realize, not only their pooled rate.  A
+    PT sign flipped in the kernel on generator (1, 1), (3, 3) or (1, 3)
+    moves the pooled rate by z = -6.2, -5.9 or -4.7, but tilts it across
+    the r_A bins to a chi^2 of 237, 231 or 261.
+    """
+    # rho_A = I/2 + sum_i c_(i,0) sigma_i, so its Bloch vector is 2 c_(i,0)
+    cols = [REBIT.labels.index((1, 0)), REBIT.labels.index((3, 0))]
+    edges = (0, 0.3, 0.45, 0.6, 1.01)  # a positive state has r_A <= 1
+    n_positive = np.zeros(len(edges) - 1, dtype=np.int64)
+    n_sep = np.zeros_like(n_positive)
+    rng = StreamSpec(1, 0, 0).generator()
+    for pts in ball_batches(REBIT.num_coeffs, REBIT.radius, rng, 4_000_000):
+        r_a = 2 * np.hypot(pts[:, cols[0]], pts[:, cols[1]])
+        bins = np.digitize(r_a, edges) - 1
+        for b in range(len(n_positive)):
+            npos, nsep = count_tallies(pts[bins == b], "rebit")
+            n_positive[b] += npos
+            n_sep[b] += nsep
+    assert n_positive.min() > 500, f"too few positive states in a bin: {n_positive}"
+    p = n_sep.sum() / n_positive.sum()
+    chi2 = float(np.sum((n_sep - n_positive * p) ** 2 / (n_positive * p * (1 - p))))
+    # 16.27: the 0.999 quantile of chi^2 with 3 degrees of freedom
+    assert chi2 < 16.27, f"PPT rate by r_A bin {n_sep / n_positive}, chi^2 {chi2:.1f}"
