@@ -1,7 +1,9 @@
 """Command line front end: estimate, conjecture, selftest.
 
 Exit codes: 0 success, 1 usage error, 2 numeric or internal failure, 130
-interrupted.  Each flag is checked by its argparse type (an integer flag by
+interrupted (Ctrl-C, or SIGTERM, which `main` turns into KeyboardInterrupt
+while it runs; Python lets only the main thread set that handler, so `main`
+runs there).  Each flag is checked by its argparse type (an integer flag by
 the library's own rule for the argument it feeds, `sampler.integer_in`) and
 `main` alone maps exceptions to exit codes, so every error is one stderr
 line naming the flag, path or field.  An `estimate` flag's dest is the
@@ -11,7 +13,8 @@ those through by name; each subcommand names its handler by
 one line per check, and counts a check that raises as failed.  Result
 documents are JSON with a fixed, versioned field order so runs can be
 diffed; every numeric field except wall_time_s is reproducible from the
-flags and seed alone.
+flags and seed alone.  `_emit` is the one function that builds and writes
+a document: a command hands it only its own fields and its wall time.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import argparse
 import inspect
 import json
 import os
+import signal
 import sys
 import time
 from concurrent.futures.process import BrokenProcessPool
@@ -49,7 +53,7 @@ ESTIMATE_PARAMETERS = tuple(inspect.signature(estimate).parameters)
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_FAILURE = 2
-EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports a run Ctrl-C stopped
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports a run Ctrl-C stopped; also for SIGTERM
 
 
 class _Parser(argparse.ArgumentParser):
@@ -124,21 +128,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(doc: dict, out_path):
-    """Write the document to out_path first, so a failed write prints nothing."""
+def _emit(args, fields: dict, wall_time_s: float) -> int:
+    """Build the command's result document, write it to args.out and print it.
+
+    Fields in order: schema, command, the command's own fields, wall_time_s,
+    version.  The file is written first, so a failed write prints nothing.
+    """
+    doc = {"schema": RESULT_SCHEMA, "command": args.command, **fields,
+           "wall_time_s": wall_time_s, "version": __version__}
     text = json.dumps(doc, indent=2)
-    if out_path is not None:
-        write_text(out_path, text + "\n")
+    if args.out is not None:
+        write_text(args.out, text + "\n")
     print(text)
+    return EXIT_OK
 
 
 def cmd_estimate(args) -> int:
     alpha = CASE_ALPHA[args.case]
     res = estimate(**{name: getattr(args, name) for name in ESTIMATE_PARAMETERS})
     conj = p_of_alpha(alpha, 1e-12)
-    doc = {
-        "schema": RESULT_SCHEMA,
-        "command": "estimate",
+    return _emit(args, {
         "case": args.case,
         "alpha": alpha,
         **asdict(res.tally),
@@ -148,25 +157,13 @@ def cmd_estimate(args) -> int:
         "z_score": (res.p_hat - conj.value) / res.std_err if res.std_err > 0 else None,
         "seed": args.seed,
         "chunk_size": args.chunk_size,
-        "wall_time_s": res.elapsed_s,
-        "version": __version__,
-    }
-    _emit(doc, args.out)
-    return EXIT_OK
+    }, res.elapsed_s)
 
 
 def cmd_conjecture(args) -> int:
     t0 = time.perf_counter()
     res = p_of_alpha(args.alpha, args.rel_tol)
-    doc = {
-        "schema": RESULT_SCHEMA,
-        "command": "conjecture",
-        **asdict(res),
-        "wall_time_s": time.perf_counter() - t0,
-        "version": __version__,
-    }
-    _emit(doc, args.out)
-    return EXIT_OK
+    return _emit(args, asdict(res), time.perf_counter() - t0)
 
 
 def cmd_selftest(_args) -> int:
@@ -191,6 +188,8 @@ def cmd_selftest(_args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # SIGTERM takes Ctrl-C's path until main returns: one line, exit 130, workers ended
+    previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
         code = args.handler(args)
         sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
@@ -215,6 +214,8 @@ def main(argv=None) -> int:
         code, message = EXIT_USAGE, f"error: {exc}"
     except (NoPositiveSamplesError, ArithmeticError) as exc:
         code, message = EXIT_FAILURE, str(exc)
+    finally:
+        signal.signal(signal.SIGTERM, previous)
     print(f"sepmc {args.command}: {message}", file=sys.stderr)
     return code
 

@@ -10,6 +10,7 @@ chunks were scheduled over workers.
 from __future__ import annotations
 
 import os
+import signal
 import stat
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -213,6 +214,12 @@ def _parse(data: bytes) -> Checkpoint:
     return Checkpoint(tag, seed, chunk_size, chunks_done, tally)
 
 
+def _worker_signals() -> None:
+    """A pool worker leaves Ctrl-C to its parent, which ends it, and dies at once at SIGTERM."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+
+
 def estimate(
     case,
     seed: int,
@@ -236,6 +243,9 @@ def estimate(
     as its states fill about 5.5e-14 of the coefficient ball.  A run that
     stops early, by an exception or an interrupt, terminates its worker
     processes before it raises, so no chunk already queued to them is run.
+    The workers ignore SIGINT and die at SIGTERM, so Ctrl-C to the process
+    group, or a SIGTERM that the caller turns into KeyboardInterrupt (as
+    `sepmc` does), ends the run the same way.
     """
     case = get_case(case)
     n_total = integer_in(n_total, "n_total", 1)
@@ -277,23 +287,28 @@ def estimate(
     # checkpoint_every counts the chunks this call completes, not those resumed from
     start_chunk = run.chunks_done
     processes = min(workers, n_chunks - start_chunk, WINDOW)
-    with ProcessPoolExecutor(processes) if processes > 1 else nullcontext() as pool:
-        mapper = pool.map if pool else map
+    with ProcessPoolExecutor(processes, initializer=_worker_signals) if processes > 1 \
+            else nullcontext() as pool:
         try:
             # Windows of chunks in order, each merged in submission order, so a
             # checkpoint always describes an exact prefix of the chunk sequence.
+            # No chunk is cancelled (as Executor.map cancels the queued ones when
+            # an interrupt unwinds it): ending the workers makes the pool's thread
+            # fail every chunk still pending, which on a cancelled one raised
+            # InvalidStateError in that thread (seen on Python 3.11).
             for lo in range(start_chunk, n_chunks, WINDOW):
-                streams = (StreamSpec(seed, 0, i) for i in range(lo, min(lo + WINDOW, n_chunks)))
-                for done, counts in enumerate(mapper(task, streams), lo + 1):
+                streams = [StreamSpec(seed, 0, i) for i in range(lo, min(lo + WINDOW, n_chunks))]
+                chunks = [pool.submit(task, stream) for stream in streams] if pool else streams
+                for done, chunk in enumerate(chunks, lo + 1):
+                    counts = chunk.result() if pool else task(chunk)
                     run = replace(run, chunks_done=done, tally=run.tally.merge(counts))
                     if checkpoint_path is not None and checkpoint_every and (
                         (done - start_chunk) % checkpoint_every == 0 or done == n_chunks
                     ):
                         checkpoint_save(run, checkpoint_path)
         except BaseException:
-            # Leaving the pool waits for every chunk already queued to a
-            # worker, which map cannot cancel: end the workers first (before
-            # Python 3.14 the pool has no public call for this).
+            # Leaving the pool waits for every chunk already submitted: end the
+            # workers first (before Python 3.14 the pool has no public call for this).
             for process in tuple(pool._processes.values()) if pool else ():
                 process.terminate()
             raise

@@ -94,7 +94,7 @@ class TestConjectureCommand:
         path = tmp_path / "conj.json"
         code, out, _ = run_cli(capsys, "conjecture", "--alpha", "2", "--out", str(path))
         assert code == 0
-        assert json.loads(path.read_text()) == parse_doc(out)
+        assert path.read_bytes() == out.encode()
 
 
 class TestEstimateCommand:
@@ -127,6 +127,14 @@ class TestEstimateCommand:
         d1.pop("wall_time_s")
         d2.pop("wall_time_s")
         assert d1 == d2
+
+    def test_out_file(self, capsys, tmp_path):
+        path = tmp_path / "estimate.json"
+        code, out, _ = run_cli(capsys, "estimate", "--case", "rebit", "--samples", "20000",
+                               "--seed", "42", "--workers", "1", "--chunk-size", "5000",
+                               "--out", str(path))
+        assert code == 0
+        assert path.read_bytes() == out.encode()
 
     def test_zero_samples_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "estimate", "--case", "qubit", "--samples", "0")
@@ -528,16 +536,17 @@ class TestStoppedRuns:
                 pass
             proc.communicate()
 
-    def test_interrupted_run_resumes_to_the_uninterrupted_tally(self, tmp_path):
-        # Six chunks of 4e6 draws, seconds each: when the first is saved, two are
-        # running and the rest queued to the workers, and the interrupt must not
-        # wait for the queued ones.
-        path = tmp_path / "run.ckpt"
+    def _stopped_run_resumes(self, path, stop):
+        """Stop a checkpointed run once its first chunk is saved, then rerun it to the end.
+
+        Six chunks of 4e6 draws, seconds each: when the first is saved, two
+        are running and the rest queued to the workers, and the stop must not
+        wait for the queued ones.
+        """
         argv = [sys.executable, "-m", "sepmc.cli", "estimate", "--case", "rebit",
                 "--samples", "24000000", "--seed", "3", "--chunk-size", "4000000",
                 "--workers", "2", "--checkpoint", str(path)]
-        proc, out, err, seconds = self._stopped_run(
-            argv, lambda proc: path.exists(), lambda proc: os.killpg(proc.pid, signal.SIGINT))
+        proc, out, err, seconds = self._stopped_run(argv, lambda proc: path.exists(), stop)
         assert proc.returncode == 130
         assert seconds < 1
         assert out == ""
@@ -550,6 +559,21 @@ class TestStoppedRuns:
         doc = parse_doc(resumed.stdout)
         full = estimate("rebit", seed=3, n_total=24_000_000, workers=2, chunk_size=4_000_000)
         assert TallyCounts(doc["n_total"], doc["n_positive"], doc["n_sep"]) == full.tally
+
+    def test_interrupted_run_resumes_to_the_uninterrupted_tally(self, tmp_path):
+        # Ctrl-C in a shell: SIGINT to the whole process group
+        self._stopped_run_resumes(tmp_path / "run.ckpt",
+                                  lambda proc: os.killpg(proc.pid, signal.SIGINT))
+
+    def test_terminated_run_resumes_to_the_uninterrupted_tally(self, tmp_path):
+        # SIGTERM to the run's own process alone: it must end its workers itself
+        self._stopped_run_resumes(tmp_path / "run.ckpt",
+                                  lambda proc: proc.send_signal(signal.SIGTERM))
+
+    def test_main_restores_the_sigterm_handler(self, capsys):
+        before = signal.getsignal(signal.SIGTERM)
+        assert run_cli(capsys, "conjecture", "--alpha", "1")[0] == 0
+        assert signal.getsignal(signal.SIGTERM) is before
 
     def test_killed_worker_ends_the_run(self):
         def workers(proc):

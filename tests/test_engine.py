@@ -1,7 +1,9 @@
 import json
 import os
+import signal
 import subprocess
 import sys
+import threading
 from dataclasses import asdict, astuple
 from functools import lru_cache
 from types import SimpleNamespace
@@ -520,6 +522,12 @@ class TestEstimate:
         assert ratio == pytest.approx(4.0, rel=0.2)
 
 
+def _run_chunk_after_sigint(case, stream, chunk_size):
+    """run_chunk in a process that has just been sent SIGINT, as Ctrl-C sends it to a whole group."""
+    os.kill(os.getpid(), signal.SIGINT)
+    return run_chunk(case, stream, chunk_size)
+
+
 def _spy_pools(monkeypatch):
     """Replace engine's process pool by one that records its size and, in events, each submit."""
     sizes, events = [], []
@@ -595,6 +603,42 @@ class TestScheduler:
         assert events.count("submit") == events.count("merge") == 10
         in_flight = np.cumsum([1 if e == "submit" else -1 for e in events])
         assert in_flight.max() == 3
+
+    def test_workers_leave_sigint_to_the_parent(self, monkeypatch):
+        # A worker that took Ctrl-C as its own interrupt printed a traceback
+        # whenever it came while the worker waited for its next chunk.
+        serial = estimate("rebit", seed=5, n_total=30_000, workers=1, chunk_size=10_000)
+        monkeypatch.setattr(engine, "run_chunk", _run_chunk_after_sigint)
+        try:
+            res = estimate("rebit", seed=5, n_total=30_000, workers=2, chunk_size=10_000)
+        except KeyboardInterrupt:
+            pytest.fail("a worker raised KeyboardInterrupt at SIGINT")
+        assert res.tally == serial.tally
+
+    def test_interrupt_leaves_no_thread_error(self, monkeypatch, tmp_path):
+        # An interrupt after the first chunk's checkpoint ends the workers with
+        # the rest of the window still queued; the pool's own thread then fails
+        # those chunks, which raised InvalidStateError in that thread whenever
+        # they had been cancelled as the interrupt unwound the loop.
+        real_save = engine.checkpoint_save
+
+        def save_then_interrupt(state, path):
+            real_save(state, path)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(engine, "checkpoint_save", save_then_interrupt)
+        errors, hook = [], threading.excepthook
+        threading.excepthook = errors.append
+        try:
+            for seed in range(10):
+                path = tmp_path / f"seed{seed}.ckpt"
+                with pytest.raises(KeyboardInterrupt):
+                    estimate("rebit", seed=seed, n_total=2_000_000, workers=2,
+                             chunk_size=100_000, checkpoint_path=path)
+                assert checkpoint_load(path).chunks_done == 1
+        finally:
+            threading.excepthook = hook
+        assert [error.exc_type.__name__ for error in errors] == []
 
 
 class TestCheckpoint:
