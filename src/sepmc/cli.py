@@ -2,9 +2,10 @@
 
 Exit codes: 0 success, 1 usage error, 2 numeric or internal failure, 130
 interrupted (Ctrl-C, or SIGTERM, which `main` turns into KeyboardInterrupt
-while it runs; Python lets only the main thread set that handler, so `main`
-runs there).  Each flag is checked by its argparse type (an integer flag by
-the library's own rule for the argument it feeds, `sampler.integer_in`) and
+while it runs; Python lets only the main thread set that handler, so
+called from another thread `main` leaves the signal handlers as they
+are).  Each flag is checked by its argparse type (an integer flag by the
+library's own rule for the argument it feeds, `sampler.integer_in`) and
 `main` alone maps exceptions to exit codes, so every error is one stderr
 line naming the flag, path or field.  An `estimate` flag's dest is the
 name of the `engine.estimate` parameter it sets, so `cmd_estimate` passes
@@ -25,6 +26,7 @@ import json
 import os
 import signal
 import sys
+import threading
 import time
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict
@@ -189,7 +191,8 @@ def cmd_selftest(_args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     # SIGTERM takes Ctrl-C's path until main returns: one line, exit 130, workers ended
-    previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
+    on_main_thread = threading.current_thread() is threading.main_thread()
+    previous = signal.signal(signal.SIGTERM, signal.default_int_handler) if on_main_thread else None
     try:
         code = args.handler(args)
         sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
@@ -215,7 +218,8 @@ def main(argv=None) -> int:
     except (NoPositiveSamplesError, ArithmeticError) as exc:
         code, message = EXIT_FAILURE, str(exc)
     finally:
-        signal.signal(signal.SIGTERM, previous)
+        if on_main_thread:
+            signal.signal(signal.SIGTERM, previous)
     print(f"sepmc {args.command}: {message}", file=sys.stderr)
     return code
 

@@ -9,6 +9,7 @@ chunks were scheduled over workers.
 
 from __future__ import annotations
 
+import math
 import os
 import signal
 import stat
@@ -17,8 +18,6 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import astuple, dataclass, replace
 from functools import partial
-
-import numpy as np
 
 from . import kernels
 from .sampler import DRAW_BATCH, SEED_LIMIT, StreamSpec, ball_batches, integer_in
@@ -82,10 +81,18 @@ class TallyCounts:
 
 @dataclass(frozen=True)
 class EstimateResult:
+    """A run's tally and wall time; p_hat and its binomial standard error follow from the tally."""
+
     tally: TallyCounts
-    p_hat: float
-    std_err: float
     elapsed_s: float
+
+    @property
+    def p_hat(self) -> float:
+        return self.tally.n_sep / self.tally.n_positive
+
+    @property
+    def std_err(self) -> float:
+        return math.sqrt(self.p_hat * (1.0 - self.p_hat) / self.tally.n_positive)
 
 
 def run_chunk(case, stream: StreamSpec, chunk_size: int) -> TallyCounts:
@@ -318,11 +325,4 @@ def estimate(
             f"no positive samples among {run.tally.n_total} draws for case "
             f"{case.tag}; p_hat is undefined"
         )
-    p_hat = run.tally.n_sep / run.tally.n_positive
-    std_err = float(np.sqrt(p_hat * (1.0 - p_hat) / run.tally.n_positive))
-    return EstimateResult(
-        tally=run.tally,
-        p_hat=p_hat,
-        std_err=std_err,
-        elapsed_s=time.perf_counter() - t_start,
-    )
+    return EstimateResult(run.tally, time.perf_counter() - t_start)

@@ -1,13 +1,18 @@
 """State families, coefficient-vector <-> density-matrix maps, positivity and PPT tests.
 
 This is the one place a family is defined: `CASES` holds each family's
-`StateCase`, generator labels included, and `get_case` is the one lookup
-by name.  A state is parameterized as rho = I/d + sum_a c_a G_a with
-orthonormal Hermitian generators G_a, the Pauli tensors of the family's
-labels (`algebra.generator_basis`), so the coefficient vector c is an
-isometric Hilbert-Schmidt coordinate chart: Tr(rho^2) = 1/d + |c|^2.
-Purity <= 1 then bounds every valid state inside the ball of radius
-sqrt(1 - 1/d), which is the ball the Monte Carlo sampler draws from.
+`StateCase`, and `get_case` is the one lookup by name.  A state is
+parameterized as rho = I/d + sum_a c_a G_a with orthonormal Hermitian
+generators G_a, the Pauli tensors of the family's labels
+(`algebra.generator_basis`), so the coefficient vector c is an isometric
+Hilbert-Schmidt coordinate chart: Tr(rho^2) = 1/d + |c|^2.  Purity <= 1
+then bounds every valid state inside the ball of radius sqrt(1 - 1/d),
+which is the ball the Monte Carlo sampler draws from.
+
+A `StateCase` is given only its tag, its Dyson index beta and its labels.
+The labels fix the rest, which `__post_init__` derives: the dimension
+``dim`` = d = 2**(Pauli factors per label), the coefficient count
+``num_coeffs`` = the number of labels, and the ball radius ``radius``.
 """
 
 from __future__ import annotations
@@ -76,23 +81,25 @@ QUATERBIT_LABELS = (
 
 @dataclass(frozen=True)
 class StateCase:
-    """One of the three bipartite state families."""
+    """One of the three bipartite state families; dim, num_coeffs and radius derive from labels."""
 
     tag: str        # 'rebit' | 'qubit' | 'quaterbit'
-    dim: int        # ambient (complex) matrix dimension d
-    num_coeffs: int # coefficient dimension m
-    radius: float   # outsphere radius sqrt(1 - 1/d)
     beta: int       # Dyson index: real parts per entry (1 real, 2 complex, 4 quaternion)
     labels: tuple   # generator labels, in coefficient order
+
+    def __post_init__(self):
+        object.__setattr__(self, "dim", 2 ** len(self.labels[0]))
+        object.__setattr__(self, "num_coeffs", len(self.labels))
+        object.__setattr__(self, "radius", np.sqrt(1 - 1 / self.dim))
 
     @property
     def basis(self) -> np.ndarray:
         return generator_basis(self.labels)
 
 
-REBIT = StateCase("rebit", 4, 9, np.sqrt(3 / 4), 1, REBIT_LABELS)
-QUBIT = StateCase("qubit", 4, 15, np.sqrt(3 / 4), 2, QUBIT_LABELS)
-QUATERBIT = StateCase("quaterbit", 8, 27, np.sqrt(7 / 8), 4, QUATERBIT_LABELS)
+REBIT = StateCase("rebit", 1, REBIT_LABELS)
+QUBIT = StateCase("qubit", 2, QUBIT_LABELS)
+QUATERBIT = StateCase("quaterbit", 4, QUATERBIT_LABELS)
 
 CASES = {c.tag: c for c in (REBIT, QUBIT, QUATERBIT)}
 

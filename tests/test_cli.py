@@ -5,6 +5,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 import tracemalloc
 from concurrent.futures.process import BrokenProcessPool
@@ -251,8 +252,9 @@ class TestEstimateBadInput:
          b"n_total 1000\nn_positive 9\nn_sep 3\nbogus 1\n", "bogus"),
         (b"version 1\ncase rebit\nseed 0\nchunk_size 1000\nchunks_done 1\n"
          b"n_total 1000\nn_positive 9\nn_sep 3\n" + b"\n" * 2**20, "larger than 4096 bytes"),
+        (b"version 1\ncase rebit\nseed\n", "line 3: expected 'key value', got 'seed'"),
     ], ids=["truncated", "garbage-value", "inconsistent-n_total", "chunks-beyond-run", "binary",
-            "repeated-key", "unknown-key", "valid-then-1MiB-of-blank-lines"])
+            "repeated-key", "unknown-key", "valid-then-1MiB-of-blank-lines", "field-without-value"])
     def test_bad_checkpoint_file(self, capsys, tmp_path, content, needle):
         path = tmp_path / "run.ckpt"
         path.write_bytes(content)
@@ -425,6 +427,17 @@ class TestSelftestCommand:
         assert "FAIL pt-spectrum" in out
         assert "pt-spectrum" in err
 
+    def test_batch_tally_off_its_rows_names_kernel_check(self, capsys, monkeypatch):
+        # rows scored one by one stay right; a batch of more than one row tallies nothing
+        real = selftest.count_tallies
+        monkeypatch.setattr(selftest, "count_tallies",
+                            lambda pts, tag: (0, 0) if len(pts) > 1 else real(pts, tag))
+        code, out, err = run_cli(capsys, "selftest")
+        assert code == 2
+        assert ("FAIL kernel-matches-eigensolver: rebit: batch tally (0, 0) is not the sum "
+                "of its rows (232, 218)") in out.splitlines()
+        assert err == "failed checks: kernel-matches-eigensolver\n"
+
     def test_kernel_disagreeing_with_eigensolver_names_its_check(self, capsys, monkeypatch):
         # a kernel that calls every point a separable state
         monkeypatch.setattr(selftest, "count_tallies", lambda pts, tag: (len(pts), len(pts)))
@@ -573,6 +586,20 @@ class TestStoppedRuns:
     def test_main_restores_the_sigterm_handler(self, capsys):
         before = signal.getsignal(signal.SIGTERM)
         assert run_cli(capsys, "conjecture", "--alpha", "1")[0] == 0
+        assert signal.getsignal(signal.SIGTERM) is before
+
+    def test_main_off_the_main_thread_leaves_the_handlers_alone(self, capsys):
+        # only the main thread may set a signal handler; elsewhere main must not try
+        before = signal.getsignal(signal.SIGTERM)
+        codes = []
+        thread = threading.Thread(
+            target=lambda: codes.append(cli.main(["conjecture", "--alpha", "1"])))
+        thread.start()
+        thread.join()
+        captured = capsys.readouterr()
+        assert codes == [0]
+        assert parse_doc(captured.out)["alpha"] == 1.0
+        assert captured.err == ""
         assert signal.getsignal(signal.SIGTERM) is before
 
     def test_killed_worker_ends_the_run(self):

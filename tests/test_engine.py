@@ -208,6 +208,17 @@ class TestKernelAgainstEigenvalueRoute:
         assert 0 < nsep < npos < len(pts)
         assert kernels.count_tallies(pts, tag) == (npos, nsep)
 
+    @pytest.mark.parametrize("tag", ["rebit", "qubit"])
+    def test_ppt_verdict_is_the_sign_of_det_of_the_partial_transpose(self, tag):
+        # A third PPT oracle: the partial transpose of a two-qubit state has at most
+        # one negative eigenvalue, so the state is PPT exactly when det(rho^Gamma) >= 0.
+        # Not quaterbit: its Kramers pairs make det(rho^Gamma) >= 0 whatever the verdict.
+        pts, kernel, _ = _scored_points(tag)
+        positive = kernel[:, 0] == 1
+        det = [np.linalg.det(coeffs_to_density(partial_transpose(CoeffVector(CASES[tag], row))))
+               for row in pts[positive]]
+        np.testing.assert_array_equal(kernel[positive, 1] == 1, np.real(det) >= 0)
+
     @pytest.mark.parametrize("tag", sorted(CASES))
     @pytest.mark.parametrize("n", [4095, 4096, 4097, 8193])
     def test_tile_boundaries(self, tag, n):
@@ -646,6 +657,9 @@ class TestCheckpoint:
         path = tmp_path / "run.ckpt"
         ck = Checkpoint("qubit", 42, 1000, 7, TallyCounts(7000, 12, 3))
         checkpoint_save(ck, path)
+        assert checkpoint_load(path) == ck
+        # blank and whitespace-only lines between the fields are skipped
+        path.write_text(path.read_text().replace("\n", "\n\n \t\n", 4))
         assert checkpoint_load(path) == ck
 
     @pytest.mark.parametrize("state, field", [

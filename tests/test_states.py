@@ -58,6 +58,9 @@ class TestCases:
             assert case.radius**2 + 1 / case.dim == pytest.approx(1.0, abs=1e-15)
             assert len(case.labels) == case.num_coeffs
             assert case.basis.shape == (case.num_coeffs, case.dim, case.dim)
+        # exactly: the seeded ball tallies rest on these bits
+        assert REBIT.radius == QUBIT.radius == np.sqrt(3 / 4)
+        assert QUATERBIT.radius == np.sqrt(7 / 8)
 
     def test_number_system(self):
         # the Dyson index: real parts per matrix entry over the reals, complex
