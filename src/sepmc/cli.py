@@ -16,11 +16,16 @@ documents are JSON with a fixed, versioned field order so runs can be
 diffed; every numeric field except wall_time_s is reproducible from the
 flags and seed alone.  `_emit` is the one function that builds and writes
 a document: a command hands it only its own fields and its wall time.
+Before its first chunk, `estimate` refuses an `--out` that is a directory,
+lies in no existing directory or names its `--checkpoint` file, without
+opening it, so such a path never throws a finished run away; a path the
+process may not write still fails at the write.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import inspect
 import json
 import os
@@ -147,6 +152,12 @@ def _emit(args, fields: dict, wall_time_s: float) -> int:
 
 def cmd_estimate(args) -> int:
     alpha = CASE_ALPHA[args.case]
+    if args.out is not None:  # refused before the run, not after it; the path is not opened
+        if os.path.isdir(args.out) or not os.path.isdir(os.path.dirname(args.out) or os.curdir):
+            code = errno.EISDIR if os.path.isdir(args.out) else errno.ENOENT
+            raise OSError(code, os.strerror(code), args.out)
+        if args.checkpoint_path and os.path.realpath(args.checkpoint_path) == os.path.realpath(args.out):
+            raise ValueError(f"--out {args.out} is also the --checkpoint file")
     res = estimate(**{name: getattr(args, name) for name in ESTIMATE_PARAMETERS})
     conj = p_of_alpha(alpha, 1e-12)
     return _emit(args, {

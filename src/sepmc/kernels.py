@@ -64,7 +64,7 @@ from functools import lru_cache
 import numpy as np
 
 from .algebra import entry_parts, mul_conj
-from .states import POSITIVITY_TOL, get_case, pt_sign_vector
+from .states import POSITIVITY_TOL, as_coefficients, get_case, pt_sign_vector
 
 # perfbench records this in its report manifest; ROADMAP item 8 removes it with a benchmark change.
 BACKEND = "numpy"
@@ -185,16 +185,14 @@ def _positive_lanes(Y: np.ndarray, beta: int, tables) -> np.ndarray:
 
 
 def count_tallies(pts: np.ndarray, tag: str):
-    """Count (n_positive, n_separable-by-PPT) over a (n, m) batch of points."""
+    """Count (n_positive, n_separable-by-PPT) over a (n, m) batch of points.
+
+    The points pass `states.as_coefficients` first, so complex, misshapen
+    and non-finite input raises ValueError instead of being tallied.
+    """
     case = get_case(tag)
     kappa, beta, tables, pt_tables = case_tables(case.tag)
-    if np.iscomplexobj(pts):
-        raise ValueError(f"{case.tag} points must be real, got complex input")
-    pts = np.asarray(pts, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != case.num_coeffs:
-        raise ValueError(
-            f"expected points of shape (n, {case.num_coeffs}), got {pts.shape}"
-        )
+    pts = as_coefficients(case, pts, 2)
     npos = 0
     nsep = 0
     for lo in range(0, len(pts), _TILE):

@@ -113,6 +113,26 @@ def get_case(tag) -> StateCase:
         raise ValueError(f"unknown state family {tag!r}") from None
 
 
+def as_coefficients(case: StateCase, values, ndim: int) -> np.ndarray:
+    """values as float64 coefficients of `case`: one vector (ndim 1) or a batch of points (ndim 2).
+
+    The one input rule for coefficients, shared by `CoeffVector` and the
+    counting kernel.  Raises ValueError naming the family for complex input
+    (refused, not cast to its real part), a shape other than (m,) or (n, m)
+    with m = case.num_coeffs, or a NaN or infinite entry.
+    """
+    m = case.num_coeffs
+    what, shape = (("coefficient vector", f"({m},)"), ("points", f"(n, {m})"))[ndim - 1]
+    if np.iscomplexobj(values):
+        raise ValueError(f"{case.tag} {what} must be real, got complex input")
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim != ndim or values.shape[-1] != m:
+        raise ValueError(f"{case.tag} {what} must have shape {shape}, got {values.shape}")
+    if not np.isfinite(values).all():
+        raise ValueError(f"{case.tag} {what} must be finite, got {values[~np.isfinite(values)][0]}")
+    return values
+
+
 @dataclass(frozen=True)
 class CoeffVector:
     """Real coefficient vector of one state, in the case's label order."""
@@ -121,17 +141,7 @@ class CoeffVector:
     c: np.ndarray
 
     def __post_init__(self):
-        if np.iscomplexobj(self.c):
-            raise ValueError(f"{self.case.tag} coefficient vector must be real, got complex input")
-        c = np.asarray(self.c, dtype=float)
-        if c.shape != (self.case.num_coeffs,):
-            raise ValueError(
-                f"{self.case.tag} coefficient vector must have shape "
-                f"({self.case.num_coeffs},), got {c.shape}"
-            )
-        if not np.all(np.isfinite(c)):
-            raise ValueError(f"{self.case.tag} coefficient vector must be finite, got {c}")
-        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "c", as_coefficients(self.case, self.c, 1))
 
     def norm_sq(self) -> float:
         return float(self.c @ self.c)

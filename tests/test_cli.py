@@ -284,6 +284,49 @@ class TestEstimateBadInput:
         self.assert_usage_error(code, out, err, str(target), command=argv[0])
         assert reason in err
 
+    @staticmethod
+    def record_estimate(monkeypatch) -> list:
+        """Replace the run with a recorder of its calls, so a refused path must be refused first."""
+        calls = []
+        monkeypatch.setattr(cli, "estimate", lambda **kwargs: calls.append(kwargs))
+        return calls
+
+    @pytest.mark.parametrize("path, reason", [
+        ("", "Is a directory"),
+        ("missing/result.json", "No such file or directory"),
+    ], ids=["out-is-a-directory", "out-in-missing-directory"])
+    def test_unusable_out_refused_before_the_run(self, capsys, monkeypatch, tmp_path, path, reason):
+        calls = self.record_estimate(monkeypatch)
+        target = tmp_path / path
+        code, out, err = run_cli(capsys, *self.ARGV, "--out", str(target))
+        self.assert_usage_error(code, out, err, str(target))
+        assert reason in err
+        assert calls == []
+        assert sorted(os.listdir(tmp_path)) == []
+
+    @pytest.mark.parametrize("saved", [True, False], ids=["resumed", "fresh"])
+    @pytest.mark.parametrize("link", [False, True], ids=["same-path", "symlink"])
+    def test_out_that_is_the_checkpoint_refused_before_the_run(self, capsys, monkeypatch,
+                                                                 tmp_path, saved, link):
+        calls = self.record_estimate(monkeypatch)
+        checkpoint = tmp_path / "same.json"
+        if saved:
+            checkpoint_save(Checkpoint("rebit", 0, 1000, 1, TallyCounts(1000, 9, 3)), checkpoint)
+            before = checkpoint.read_bytes()
+        out_path = checkpoint
+        if link:
+            out_path = tmp_path / "link.json"
+            out_path.symlink_to(checkpoint.name)
+        code, out, err = run_cli(capsys, *self.ARGV, "--checkpoint", str(checkpoint),
+                                 "--out", str(out_path))
+        self.assert_usage_error(code, out, err, str(out_path))
+        assert "--checkpoint" in err
+        assert calls == []
+        if saved:
+            assert checkpoint.read_bytes() == before
+        else:
+            assert not checkpoint.exists()
+
     @FULL_DEVICE
     def test_failed_checkpoint_write_names_the_path(self, capsys, tmp_path):
         # the checkpoint is written to PATH.tmp, then renamed; here PATH.tmp is /dev/full
@@ -426,6 +469,26 @@ class TestSelftestCommand:
         assert code == 2
         assert "FAIL pt-spectrum" in out
         assert "pt-spectrum" in err
+
+    def test_pt_applied_twice_off_the_identity_names_involution_check(self, capsys, monkeypatch):
+        monkeypatch.setattr(selftest, "partial_transpose",
+                            lambda v: states.CoeffVector(v.case, 2 * v.c))
+        code, out, _ = run_cli(capsys, "selftest")
+        assert code == 2
+        assert ("FAIL pt-involution: rebit: PT applied twice is not the identity"
+                in out.splitlines())
+
+    def test_pt_involution_off_isometry_names_involution_check(self, capsys, monkeypatch):
+        # swaps the first two coefficients, scaling one by 2 and the other by 1/2: exact both ways
+        def stretched_swap(v):
+            c = v.c.copy()
+            c[0], c[1] = 2 * v.c[1], v.c[0] / 2
+            return states.CoeffVector(v.case, c)
+
+        monkeypatch.setattr(selftest, "partial_transpose", stretched_swap)
+        code, out, _ = run_cli(capsys, "selftest")
+        assert code == 2
+        assert "FAIL pt-involution: rebit: PT is not an isometry" in out.splitlines()
 
     def test_batch_tally_off_its_rows_names_kernel_check(self, capsys, monkeypatch):
         # rows scored one by one stay right; a batch of more than one row tallies nothing

@@ -152,6 +152,12 @@ class TestKernelBackends:
             kernels.count_tallies(np.zeros((5, 14)), "qubit")
         with pytest.raises(ValueError, match="^qubit points must be real"):
             kernels.count_tallies(np.zeros((3, 15)) + 1j, "qubit")
+        for bad in (np.nan, np.inf):
+            # refused, not tallied as a point that is no state
+            pts = np.zeros((3, 9))
+            pts[1, 0] = bad
+            with pytest.raises(ValueError, match="^rebit points must be finite"):
+                kernels.count_tallies(pts, "rebit")
 
 
 def _modules_after(statement):
