@@ -16,16 +16,17 @@ documents are JSON with a fixed, versioned field order so runs can be
 diffed; every numeric field except wall_time_s is reproducible from the
 flags and seed alone.  `_emit` is the one function that builds and writes
 a document: a command hands it only its own fields and its wall time.
-Before its first chunk, `estimate` refuses an `--out` that is a directory,
-lies in no existing directory or names its `--checkpoint` file, without
-opening it, so such a path never throws a finished run away; a path the
-process may not write still fails at the write.
+Before its first chunk, `estimate` refuses an unusable `--out` or
+`--checkpoint` by the engine's one path rule, `engine.check_path`, which
+gives the write's own reason without opening the path, and an `--out`
+that names its `--checkpoint` file, so such a path never throws a
+finished run away; a path the process may not write still fails at the
+write.
 """
 
 from __future__ import annotations
 
 import argparse
-import errno
 import inspect
 import json
 import os
@@ -37,11 +38,12 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict
 
 from . import __version__
-from .conjecture import p_of_alpha
+from .conjecture import MIN_REL_TOL, p_of_alpha
 from .engine import (
     DEFAULT_CHUNK_SIZE,
     CheckpointError,
     NoPositiveSamplesError,
+    check_path,
     estimate,
     write_text,
 )
@@ -127,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     conj = sub.add_parser("conjecture", help="evaluate the conjectured series value")
     conj.add_argument("--alpha", type=float, required=True)
-    conj.add_argument("--rel-tol", type=float, default=1e-12)
+    conj.add_argument("--rel-tol", type=float, default=MIN_REL_TOL)
     conj.add_argument("--out", type=_path, default=None, metavar="PATH")
     conj.set_defaults(handler=cmd_conjecture)
 
@@ -153,13 +155,11 @@ def _emit(args, fields: dict, wall_time_s: float) -> int:
 def cmd_estimate(args) -> int:
     alpha = CASE_ALPHA[args.case]
     if args.out is not None:  # refused before the run, not after it; the path is not opened
-        if os.path.isdir(args.out) or not os.path.isdir(os.path.dirname(args.out) or os.curdir):
-            code = errno.EISDIR if os.path.isdir(args.out) else errno.ENOENT
-            raise OSError(code, os.strerror(code), args.out)
+        check_path(args.out)
         if args.checkpoint_path and os.path.realpath(args.checkpoint_path) == os.path.realpath(args.out):
             raise ValueError(f"--out {args.out} is also the --checkpoint file")
     res = estimate(**{name: getattr(args, name) for name in ESTIMATE_PARAMETERS})
-    conj = p_of_alpha(alpha, 1e-12)
+    conj = p_of_alpha(alpha)
     return _emit(args, {
         "case": args.case,
         "alpha": alpha,

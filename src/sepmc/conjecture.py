@@ -91,7 +91,7 @@ class SeriesResult:
     rel_tol: float
 
 
-def p_of_alpha(alpha: float, rel_tol: float = 1e-12) -> SeriesResult:
+def p_of_alpha(alpha: float, rel_tol: float = MIN_REL_TOL) -> SeriesResult:
     """Sum the series at alpha until the geometric tail bound meets rel_tol.
 
     Partial sums increase monotonically.  After a term t the tail is below

@@ -9,6 +9,7 @@ chunks were scheduled over workers.
 
 from __future__ import annotations
 
+import errno
 import math
 import os
 import signal
@@ -147,6 +148,24 @@ def write_text(path, text: str) -> None:
         raise
 
 
+def check_path(path) -> None:
+    """Raise the OSError, naming path, that a write to path would meet first.
+
+    The one rule for a path a run will write, checked before the run: it
+    opens and creates nothing, so a FIFO or device passes unread.  os.stat
+    gives the reason (a missing or non-directory parent, too long a name, a
+    symlink loop), a directory raises IsADirectoryError, and a missing file
+    in an existing directory passes.  A path the process may not write, or
+    a full device, still fails at the write.
+    """
+    try:
+        if stat.S_ISDIR(os.stat(path).st_mode):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    except FileNotFoundError:
+        if not os.path.isdir(os.path.dirname(path) or os.curdir):
+            raise
+
+
 def checkpoint_save(state: Checkpoint, path) -> None:
     """Write a checkpoint as line-oriented 'key value' text (atomic rename).
 
@@ -244,7 +263,8 @@ def estimate(
     checkpoint_path the run resumes from that file if it exists and rewrites
     it after every checkpoint_every completed chunks and after the last one
     (0: never write).  A path that cannot be opened, other than a missing
-    file in an existing directory, raises OSError before the first chunk.
+    file in an existing directory (`check_path`), raises OSError before the
+    first chunk.
     Raises NoPositiveSamplesError when no draw was positive: for rebit and
     qubit only at small n_total, but for quaterbit at every affordable one,
     as its states fill about 5.5e-14 of the coefficient ball.  A run that
@@ -273,9 +293,8 @@ def estimate(
         try:
             loaded = checkpoint_load(checkpoint_path)
         except FileNotFoundError:
-            # no checkpoint yet; a missing directory is refused now, not at the first save
-            if not os.path.isdir(os.path.dirname(checkpoint_path) or os.curdir):
-                raise
+            # no checkpoint yet; a path the first save cannot write is refused now
+            check_path(checkpoint_path)
         else:
             for field, theirs, ours in zip(("case", "seed", "chunk_size"),
                                            astuple(loaded), astuple(run)):

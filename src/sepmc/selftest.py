@@ -14,7 +14,7 @@ import numpy as np
 
 from .algebra import Quaternion
 from .conjecture import p_of_alpha
-from .engine import run_chunk
+from .engine import estimate
 from .kernels import count_tallies
 from .sampler import StreamSpec, ball_batches, sample_ball
 from .states import CASES, coeffs_to_density, CoeffVector, is_positive, partial_transpose, ppt_test
@@ -120,9 +120,8 @@ def check_ball_moments() -> tuple:
 
 
 def check_tally_ordering() -> tuple:
-    # run_chunk's TallyCounts refuses a chunk tally out of order (a ValueError)
-    parts = [run_chunk("qubit", StreamSpec(_SEED + 5, 0, i), 20_000) for i in range(3)]
-    total = parts[0].merge(parts[1]).merge(parts[2])
+    # each chunk's TallyCounts, and each merge, refuses a tally out of order (a ValueError)
+    total = estimate("qubit", _SEED + 5, 60_000, workers=1, chunk_size=20_000).tally
     return True, f"3 chunks merged: {total.n_sep}/{total.n_positive}/{total.n_total}"
 
 
@@ -153,7 +152,7 @@ def check_conjecture_rationals() -> tuple:
     targets = ((0.5, 29 / 64), (1.0, 8 / 33), (2.0, 26 / 323))
     worst = 0.0
     for alpha, target in targets:
-        res = p_of_alpha(alpha, 1e-12)
+        res = p_of_alpha(alpha)
         worst = max(worst, abs(res.value - target))
     return worst < 1e-10, f"max |value - rational| = {worst:.2e} (tol 1e-10)"
 

@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import sepmc.states as states
-from sepmc import __version__, cli, selftest
+from sepmc import __version__, cli, engine, selftest
 from sepmc.engine import (
     Checkpoint,
     CheckpointError,
@@ -327,6 +327,33 @@ class TestEstimateBadInput:
         else:
             assert not checkpoint.exists()
 
+    @pytest.mark.parametrize("name, code", [
+        ("", errno.EISDIR),
+        ("missing/run.json", errno.ENOENT),
+        ("file/run.json", errno.ENOTDIR),
+        ("x" * 300, errno.ENAMETOOLONG),
+        ("loop", errno.ELOOP),
+    ], ids=["directory", "parent-missing", "parent-is-a-file", "name-too-long", "symlink-loop"])
+    def test_out_and_checkpoint_refuse_a_path_alike(self, capsys, monkeypatch, tmp_path,
+                                                    name, code):
+        def no_chunk(*args, **kwargs):
+            raise AssertionError("a chunk ran before the path was checked")
+
+        monkeypatch.setattr(engine, "run_chunk", no_chunk)
+        (tmp_path / "file").write_text("")
+        (tmp_path / "loop").symlink_to(tmp_path / "loop")
+        target = str(tmp_path / name)
+        with pytest.raises(OSError) as write:  # the reason the write itself meets
+            open(target, "w")
+        assert write.value.errno == code
+        errs = []
+        for flag in ("--out", "--checkpoint"):
+            got, out, err = run_cli(capsys, *self.ARGV, flag, target)
+            self.assert_usage_error(got, out, err, f"{target}: {os.strerror(code)}")
+            errs.append(err)
+        assert errs[0] == errs[1]
+        assert sorted(os.listdir(tmp_path)) == ["file", "loop"]
+
     @FULL_DEVICE
     def test_failed_checkpoint_write_names_the_path(self, capsys, tmp_path):
         # the checkpoint is written to PATH.tmp, then renamed; here PATH.tmp is /dev/full
@@ -612,16 +639,17 @@ class TestStoppedRuns:
                 pass
             proc.communicate()
 
-    def _stopped_run_resumes(self, path, stop):
-        """Stop a checkpointed run once its first chunk is saved, then rerun it to the end.
+    def _stopped_run_resumes(self, path, stop, workers=2, chunk_size=4_000_000):
+        """Stop a checkpointed run of six chunks once its first is saved, then rerun it to the end.
 
-        Six chunks of 4e6 draws, seconds each: when the first is saved, two
-        are running and the rest queued to the workers, and the stop must not
-        wait for the queued ones.
+        With two workers, chunks of 4e6 draws take seconds each: when the
+        first is saved, two are running and the rest queued to the workers,
+        and the stop must not wait for the queued ones.  With one worker the
+        chunks run in the CLI's own process, and the stop lands inside one.
         """
         argv = [sys.executable, "-m", "sepmc.cli", "estimate", "--case", "rebit",
-                "--samples", "24000000", "--seed", "3", "--chunk-size", "4000000",
-                "--workers", "2", "--checkpoint", str(path)]
+                "--samples", str(6 * chunk_size), "--seed", "3", "--chunk-size", str(chunk_size),
+                "--workers", str(workers), "--checkpoint", str(path)]
         proc, out, err, seconds = self._stopped_run(argv, lambda proc: path.exists(), stop)
         assert proc.returncode == 130
         assert seconds < 1
@@ -633,7 +661,7 @@ class TestStoppedRuns:
         resumed = subprocess.run(argv, capture_output=True, text=True, env=cli_env(), timeout=300)
         assert resumed.returncode == 0, resumed.stderr
         doc = parse_doc(resumed.stdout)
-        full = estimate("rebit", seed=3, n_total=24_000_000, workers=2, chunk_size=4_000_000)
+        full = estimate("rebit", seed=3, n_total=6 * chunk_size, workers=2, chunk_size=chunk_size)
         assert TallyCounts(doc["n_total"], doc["n_positive"], doc["n_sep"]) == full.tally
 
     def test_interrupted_run_resumes_to_the_uninterrupted_tally(self, tmp_path):
@@ -645,6 +673,16 @@ class TestStoppedRuns:
         # SIGTERM to the run's own process alone: it must end its workers itself
         self._stopped_run_resumes(tmp_path / "run.ckpt",
                                   lambda proc: proc.send_signal(signal.SIGTERM))
+
+    def test_interrupted_in_process_run_resumes_to_the_uninterrupted_tally(self, tmp_path):
+        self._stopped_run_resumes(tmp_path / "run.ckpt",
+                                  lambda proc: os.killpg(proc.pid, signal.SIGINT),
+                                  workers=1, chunk_size=1_000_000)
+
+    def test_terminated_in_process_run_resumes_to_the_uninterrupted_tally(self, tmp_path):
+        self._stopped_run_resumes(tmp_path / "run.ckpt",
+                                  lambda proc: proc.send_signal(signal.SIGTERM),
+                                  workers=1, chunk_size=1_000_000)
 
     def test_main_restores_the_sigterm_handler(self, capsys):
         before = signal.getsignal(signal.SIGTERM)

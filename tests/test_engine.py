@@ -22,6 +22,7 @@ from sepmc.engine import (
     CheckpointError,
     NoPositiveSamplesError,
     TallyCounts,
+    check_path,
     checkpoint_load,
     checkpoint_save,
     estimate,
@@ -833,6 +834,23 @@ class TestCheckpoint:
             estimate("rebit", seed=5, n_total=2000, workers=1, chunk_size=1000,
                      checkpoint_path=path)
         assert info.value.filename == path
+
+    def test_check_path_opens_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        # opening a FIFO that has no reader for writing would block
+        checked = threading.Thread(target=check_path, args=(fifo,), daemon=True)
+        checked.start()
+        checked.join(5)
+        try:
+            assert not checked.is_alive(), "check_path blocked on a FIFO with no reader"
+        finally:
+            if checked.is_alive():  # let the blocked open return
+                os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+        for path in (fifo, os.devnull, tmp_path / "new.json", "new.json"):
+            check_path(path)  # passes, as does a missing file in an existing directory
+        assert sorted(os.listdir(tmp_path)) == ["fifo"]
 
     def test_unknown_family_has_one_message(self, tmp_path):
         message = "^unknown state family 'qutrit'$"
