@@ -20,8 +20,10 @@ from its module, so importing one module loads only what it needs:
   and uniform ball sampling.
 - `sepmc.kernels`: the counting kernel `count_tallies` and its table
   builder `case_tables`.
-- `sepmc.engine`: the chunked estimator `estimate`, `run_chunk`, tallies,
-  checkpoints, and `check_path`, the one rule for a path a run will write.
+- `sepmc.engine`: the chunked estimator `estimate`, the chunk stream
+  `chunk_tallies` (the one place that knows about processes), `run_chunk`,
+  tallies, checkpoints, and `check_path`, the one rule for a path a run
+  will write.
 - `sepmc.conjecture`: the conjectured series `p_of_alpha`.
 - `sepmc.selftest`: the invariant battery `CHECKS` behind `sepmc selftest`.
 - `sepmc.cli`: the `sepmc` command line.

@@ -4,7 +4,9 @@ The run is organized map-reduce style: the total sample budget is split into
 fixed-size chunks, chunk i is evaluated as a pure function of the stream
 (seed, worker=0, chunk=i), and the resulting tallies are added.  The final
 tally therefore depends only on (case, seed, number of chunks), never on how
-chunks were scheduled over workers.
+chunks were scheduled over workers.  `chunk_tallies` yields the chunks'
+tallies in chunk order and is the one place that knows about processes;
+`estimate` validates, resumes, folds that stream and saves checkpoints.
 """
 
 from __future__ import annotations
@@ -16,15 +18,16 @@ import signal
 import stat
 import time
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from contextlib import closing
 from dataclasses import astuple, dataclass, replace
 from functools import partial
+from itertools import islice
 
 from . import kernels
 from .sampler import DRAW_BATCH, SEED_LIMIT, StreamSpec, ball_batches, integer_in
 from .states import get_case
 
-# perfbench imports this alias of DRAW_BATCH; ROADMAP item 8 removes it with a benchmark change.
+# perfbench imports this alias of DRAW_BATCH; only a benchmark change can remove it.
 KERNEL_BATCH = DRAW_BATCH
 
 DEFAULT_CHUNK_SIZE = 1_000_000
@@ -155,31 +158,35 @@ def check_path(path) -> None:
     opens and creates nothing, so a FIFO or device passes unread.  os.stat
     gives the reason (a missing or non-directory parent, too long a name, a
     symlink loop), a directory raises IsADirectoryError, and a missing file
-    in an existing directory passes.  A path the process may not write, or
-    a full device, still fails at the write.
+    in an existing directory passes.  A symlink is followed, as the write
+    follows it: a dangling link passes only when its target's directory
+    exists.  A path the process may not write, or a full device, still
+    fails at the write.
     """
     try:
         if stat.S_ISDIR(os.stat(path).st_mode):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     except FileNotFoundError:
-        if not os.path.isdir(os.path.dirname(path) or os.curdir):
+        if not os.path.isdir(os.path.dirname(os.path.realpath(path))):
             raise
 
 
 def checkpoint_save(state: Checkpoint, path) -> None:
     """Write a checkpoint as line-oriented 'key value' text (atomic rename).
 
-    Raises CheckpointError, before anything is written, for a state that
-    checkpoint_load would refuse to read back.
+    A symlink is followed: the text goes to its target's PATH.tmp, which is
+    renamed over the target, so the link stays and checkpoint_load reads
+    what was saved.  Raises CheckpointError, before anything is written,
+    for a state that checkpoint_load would refuse to read back.
     """
     values = (CHECKPOINT_VERSION, state.case_tag, state.seed, state.chunk_size,
               state.chunks_done, *astuple(state.tally))
     text = "".join(f"{key} {value}\n"
                    for key, value in zip(_CHECKPOINT_FIELDS, values, strict=True))
     _parse(text.encode())
-    tmp = f"{path}.tmp"
-    write_text(tmp, text)
-    os.replace(tmp, path)
+    target = os.path.realpath(path)
+    write_text(f"{target}.tmp", text)
+    os.replace(f"{target}.tmp", target)
 
 
 def checkpoint_load(path) -> Checkpoint:
@@ -246,6 +253,42 @@ def _worker_signals() -> None:
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
 
 
+def chunk_tallies(case, seed: int, chunk_size: int, chunks: range, workers: int):
+    """Yield run_chunk's TallyCounts for each chunk in chunks, in chunk order.
+
+    The one place that knows about processes.  With min(workers,
+    len(chunks), WINDOW) <= 1 the chunks run in this process; otherwise a
+    pool of that many processes runs them, submitted a window of WINDOW at
+    a time and read back in order, so at most WINDOW results are held.  No
+    chunk is cancelled (as Executor.map cancels the queued ones when an
+    interrupt unwinds it): ending the workers makes the pool's thread fail
+    every chunk still pending, which on a cancelled one raised
+    InvalidStateError in that thread (seen on Python 3.11).  Any exception,
+    and closing the generator (GeneratorExit), terminates the workers
+    before it propagates, so no chunk already queued to them is run.  The
+    workers ignore SIGINT and die at SIGTERM (`_worker_signals`), so Ctrl-C
+    to the process group, or a SIGTERM that the caller turns into
+    KeyboardInterrupt (as `sepmc` does), ends them the same way.
+    """
+    task = partial(run_chunk, case, chunk_size=chunk_size)
+    streams = (StreamSpec(seed, 0, i) for i in chunks)
+    processes = min(workers, len(chunks), WINDOW)
+    if processes <= 1:
+        yield from map(task, streams)
+        return
+    with ProcessPoolExecutor(processes, initializer=_worker_signals) as pool:
+        try:
+            while window := [pool.submit(task, stream) for stream in islice(streams, WINDOW)]:
+                for chunk in window:
+                    yield chunk.result()
+        except BaseException:
+            # Leaving the pool waits for every chunk already submitted: end the
+            # workers first (before Python 3.14 the pool has no public call for this).
+            for process in tuple(pool._processes.values()):
+                process.terminate()
+            raise
+
+
 def estimate(
     case,
     seed: int,
@@ -264,15 +307,14 @@ def estimate(
     it after every checkpoint_every completed chunks and after the last one
     (0: never write).  A path that cannot be opened, other than a missing
     file in an existing directory (`check_path`), raises OSError before the
-    first chunk.
+    first chunk.  The chunks come from `chunk_tallies`, the one place that
+    knows about processes, and a checkpoint always describes an exact
+    prefix of the chunk sequence.  A run that stops early, by an exception
+    or an interrupt, closes that stream, which ends the workers before the
+    run raises (`chunk_tallies` says how).
     Raises NoPositiveSamplesError when no draw was positive: for rebit and
     qubit only at small n_total, but for quaterbit at every affordable one,
-    as its states fill about 5.5e-14 of the coefficient ball.  A run that
-    stops early, by an exception or an interrupt, terminates its worker
-    processes before it raises, so no chunk already queued to them is run.
-    The workers ignore SIGINT and die at SIGTERM, so Ctrl-C to the process
-    group, or a SIGTERM that the caller turns into KeyboardInterrupt (as
-    `sepmc` does), ends the run the same way.
+    as its states fill about 5.5e-14 of the coefficient ball.
     """
     case = get_case(case)
     n_total = integer_in(n_total, "n_total", 1)
@@ -309,35 +351,16 @@ def estimate(
                 )
             run = loaded
 
-    task = partial(run_chunk, case.tag, chunk_size=chunk_size)
     # checkpoint_every counts the chunks this call completes, not those resumed from
     start_chunk = run.chunks_done
-    processes = min(workers, n_chunks - start_chunk, WINDOW)
-    with ProcessPoolExecutor(processes, initializer=_worker_signals) if processes > 1 \
-            else nullcontext() as pool:
-        try:
-            # Windows of chunks in order, each merged in submission order, so a
-            # checkpoint always describes an exact prefix of the chunk sequence.
-            # No chunk is cancelled (as Executor.map cancels the queued ones when
-            # an interrupt unwinds it): ending the workers makes the pool's thread
-            # fail every chunk still pending, which on a cancelled one raised
-            # InvalidStateError in that thread (seen on Python 3.11).
-            for lo in range(start_chunk, n_chunks, WINDOW):
-                streams = [StreamSpec(seed, 0, i) for i in range(lo, min(lo + WINDOW, n_chunks))]
-                chunks = [pool.submit(task, stream) for stream in streams] if pool else streams
-                for done, chunk in enumerate(chunks, lo + 1):
-                    counts = chunk.result() if pool else task(chunk)
-                    run = replace(run, chunks_done=done, tally=run.tally.merge(counts))
-                    if checkpoint_path is not None and checkpoint_every and (
-                        (done - start_chunk) % checkpoint_every == 0 or done == n_chunks
-                    ):
-                        checkpoint_save(run, checkpoint_path)
-        except BaseException:
-            # Leaving the pool waits for every chunk already submitted: end the
-            # workers first (before Python 3.14 the pool has no public call for this).
-            for process in tuple(pool._processes.values()) if pool else ():
-                process.terminate()
-            raise
+    # closing: an exception in the fold ends the workers at once
+    with closing(chunk_tallies(case.tag, seed, chunk_size, range(start_chunk, n_chunks),
+                               workers)) as tallies:
+        for done, counts in enumerate(tallies, start_chunk + 1):
+            run = replace(run, chunks_done=done, tally=run.tally.merge(counts))
+            if checkpoint_path is not None and checkpoint_every and (
+                    (done - start_chunk) % checkpoint_every == 0 or done == n_chunks):
+                checkpoint_save(run, checkpoint_path)
 
     if run.tally.n_positive == 0:
         raise NoPositiveSamplesError(

@@ -66,7 +66,7 @@ import numpy as np
 from .algebra import entry_parts, mul_conj
 from .states import POSITIVITY_TOL, as_coefficients, get_case, pt_sign_vector
 
-# perfbench records this in its report manifest; ROADMAP item 8 removes it with a benchmark change.
+# perfbench records this in its report manifest; only a benchmark change can remove it.
 BACKEND = "numpy"
 
 # Points factored together: large enough to amortize per-call overhead over

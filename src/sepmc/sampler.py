@@ -85,7 +85,7 @@ class StreamSpec:
         return np.random.Generator(np.random.Philox(ss))
 
 
-# perfbench imports this alias of StreamSpec; ROADMAP item 8 removes it with a benchmark change.
+# perfbench imports this alias of StreamSpec; only a benchmark change can remove it.
 derive_stream = StreamSpec
 
 

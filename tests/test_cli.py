@@ -170,6 +170,28 @@ class TestEstimateCommand:
         assert path.exists()
         assert "chunks_done 2" in path.read_text()
 
+    def test_checkpoint_saved_through_a_symlink_updates_its_target(self, capsys, tmp_path):
+        # the save follows the link, as the load does, so the link stays and a
+        # resumed run reads what the last one saved
+        (tmp_path / "real").mkdir()
+        target = tmp_path / "real" / "run.ckpt"
+        link = tmp_path / "run.ckpt"
+        link.symlink_to(target)
+        argv = ("estimate", "--case", "rebit", "--seed", "1", "--workers", "1",
+                "--chunk-size", "10000")
+        for chunks in (2, 4):
+            code, out, _ = run_cli(capsys, *argv, "--samples", str(10000 * chunks),
+                                   "--checkpoint", str(link))
+            assert code == 0
+            assert link.is_symlink() and os.readlink(link) == str(target)
+            assert checkpoint_load(target).chunks_done == chunks
+        assert sorted(os.listdir(tmp_path / "real")) == ["run.ckpt"]
+        _, fresh, _ = run_cli(capsys, *argv, "--samples", "40000")
+        resumed, fresh = parse_doc(out), parse_doc(fresh)
+        resumed.pop("wall_time_s")
+        fresh.pop("wall_time_s")
+        assert resumed == fresh
+
     def test_workers_auto(self, capsys):
         code, out, _ = run_cli(
             capsys, "estimate", "--case", "rebit", "--samples", "50000",
@@ -333,7 +355,9 @@ class TestEstimateBadInput:
         ("file/run.json", errno.ENOTDIR),
         ("x" * 300, errno.ENAMETOOLONG),
         ("loop", errno.ELOOP),
-    ], ids=["directory", "parent-missing", "parent-is-a-file", "name-too-long", "symlink-loop"])
+        ("dangling", errno.ENOENT),
+    ], ids=["directory", "parent-missing", "parent-is-a-file", "name-too-long", "symlink-loop",
+            "dangling-symlink"])
     def test_out_and_checkpoint_refuse_a_path_alike(self, capsys, monkeypatch, tmp_path,
                                                     name, code):
         def no_chunk(*args, **kwargs):
@@ -342,6 +366,7 @@ class TestEstimateBadInput:
         monkeypatch.setattr(engine, "run_chunk", no_chunk)
         (tmp_path / "file").write_text("")
         (tmp_path / "loop").symlink_to(tmp_path / "loop")
+        (tmp_path / "dangling").symlink_to(tmp_path / "missing" / "run.json")
         target = str(tmp_path / name)
         with pytest.raises(OSError) as write:  # the reason the write itself meets
             open(target, "w")
@@ -352,7 +377,7 @@ class TestEstimateBadInput:
             self.assert_usage_error(got, out, err, f"{target}: {os.strerror(code)}")
             errs.append(err)
         assert errs[0] == errs[1]
-        assert sorted(os.listdir(tmp_path)) == ["file", "loop"]
+        assert sorted(os.listdir(tmp_path)) == ["dangling", "file", "loop"]
 
     @FULL_DEVICE
     def test_failed_checkpoint_write_names_the_path(self, capsys, tmp_path):

@@ -1,11 +1,16 @@
+import ast
+import inspect
 import json
+import multiprocessing
 import os
+import re
 import signal
 import subprocess
 import sys
 import threading
 from dataclasses import asdict, astuple
 from functools import lru_cache
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -25,10 +30,11 @@ from sepmc.engine import (
     check_path,
     checkpoint_load,
     checkpoint_save,
+    chunk_tallies,
     estimate,
     run_chunk,
 )
-from sepmc.sampler import derive_stream, sample_ball
+from sepmc.sampler import StreamSpec, derive_stream, sample_ball
 from sepmc.states import (
     CASES,
     POSITIVITY_TOL,
@@ -180,6 +186,20 @@ def test_import_layering():
     loaded = _modules_after("import sepmc.kernels")
     assert loaded.isdisjoint({"sepmc.engine", "sepmc.sampler", "sepmc.conjecture",
                               "concurrent.futures"})
+
+
+def test_only_chunk_tallies_knows_about_processes():
+    # process scheduling stays behind one function, whatever else the fold grows
+    pool_names = re.compile(r"\b(ProcessPoolExecutor|_processes)\b")
+    assert not pool_names.search(inspect.getsource(engine.estimate))
+    found = set()
+    for path in Path(engine.__file__).parent.glob("*.py"):
+        source = path.read_text()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and \
+                    pool_names.search(ast.get_source_segment(source, node)):
+                found.add(f"{path.stem}.{node.name}")
+    assert found == {"engine.chunk_tallies"}
 
 
 @lru_cache(maxsize=None)
@@ -650,13 +670,37 @@ class TestScheduler:
         try:
             for seed in range(10):
                 path = tmp_path / f"seed{seed}.ckpt"
-                with pytest.raises(KeyboardInterrupt):
+                # held, the exception keeps estimate's frame alive: the workers
+                # must end when the fold fails, not when that frame is freed
+                with pytest.raises(KeyboardInterrupt) as stopped:
                     estimate("rebit", seed=seed, n_total=2_000_000, workers=2,
                              chunk_size=100_000, checkpoint_path=path)
+                assert multiprocessing.active_children() == [], stopped
                 assert checkpoint_load(path).chunks_done == 1
         finally:
             threading.excepthook = hook
         assert [error.exc_type.__name__ for error in errors] == []
+
+
+class TestChunkTallies:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_each_chunks_tally_in_chunk_order(self, workers):
+        chunks = range(3, 9)
+        assert list(chunk_tallies("rebit", 4, 2000, chunks, workers)) == [
+            run_chunk("rebit", StreamSpec(4, 0, i), 2000) for i in chunks]
+
+    def test_closing_ends_the_workers(self, monkeypatch):
+        monkeypatch.setattr(engine, "WINDOW", 3)
+        sizes, events = _spy_pools(monkeypatch)
+        tallies = chunk_tallies("rebit", 4, 2000, range(3, 9), 2)
+        assert next(tallies) == run_chunk("rebit", StreamSpec(4, 0, 3), 2000)
+        workers = multiprocessing.active_children()
+        tallies.close()
+        # terminated, not left to finish their window and exit
+        assert [worker.exitcode for worker in workers] == [-signal.SIGTERM] * 2
+        assert multiprocessing.active_children() == []
+        assert sizes == [2]
+        assert events.count("submit") <= 3  # the second window was never submitted
 
 
 class TestCheckpoint:
