@@ -5,8 +5,11 @@ fixed-size chunks, chunk i is evaluated as a pure function of the stream
 (seed, worker=0, chunk=i), and the resulting tallies are added.  The final
 tally therefore depends only on (case, seed, number of chunks), never on how
 chunks were scheduled over workers.  `chunk_tallies` yields the chunks'
-tallies in chunk order and is the one place that knows about processes;
-`estimate` validates, resumes, folds that stream and saves checkpoints.
+tallies in chunk order and is the one place that knows about processes,
+from the usable CPU count to the pool; `estimate` validates, resumes, folds
+that stream and saves checkpoints.  A `Checkpoint` record's fields are the
+checkpoint file's keys after `version`, in file order, with the tally's
+fields flattened.
 """
 
 from __future__ import annotations
@@ -118,17 +121,18 @@ def run_chunk(case, stream: StreamSpec, chunk_size: int) -> TallyCounts:
 
 @dataclass(frozen=True)
 class Checkpoint:
-    """Resumable state of a partially completed run."""
+    """Resumable state of a partially completed run, field for field the checkpoint file."""
 
-    case_tag: str
+    case: str
     seed: int
     chunk_size: int
     chunks_done: int
     tally: TallyCounts
 
 
-# The checkpoint's 'key value' lines in file order; every field but the case
-# tag is an integer in [low, high).
+# The checkpoint's 'key value' lines in file order: version, then Checkpoint's
+# fields with the tally's flattened.  Every field but case is an integer
+# in [low, high).
 _CHECKPOINT_FIELDS = {
     "version": (CHECKPOINT_VERSION, CHECKPOINT_VERSION + 1),
     "case": None,
@@ -179,10 +183,9 @@ def checkpoint_save(state: Checkpoint, path) -> None:
     what was saved.  Raises CheckpointError, before anything is written,
     for a state that checkpoint_load would refuse to read back.
     """
-    values = (CHECKPOINT_VERSION, state.case_tag, state.seed, state.chunk_size,
-              state.chunks_done, *astuple(state.tally))
-    text = "".join(f"{key} {value}\n"
-                   for key, value in zip(_CHECKPOINT_FIELDS, values, strict=True))
+    *run, counts = astuple(state)
+    text = "".join(f"{key} {value}\n" for key, value in
+                   zip(_CHECKPOINT_FIELDS, (CHECKPOINT_VERSION, *run, *counts), strict=True))
     _parse(text.encode())
     target = os.path.realpath(path)
     write_text(f"{target}.tmp", text)
@@ -234,7 +237,7 @@ def _parse(data: bytes) -> Checkpoint:
                           else integer_in(int(text), key, *bounds))
         except ValueError as exc:
             raise CheckpointError(f"field {key!r}: {exc}") from None
-    _, tag, seed, chunk_size, chunks_done, *counts = values
+    _, case, seed, chunk_size, chunks_done, *counts = values
     try:
         tally = TallyCounts(*counts)
     except ValueError as exc:
@@ -244,7 +247,7 @@ def _parse(data: bytes) -> Checkpoint:
             f"field 'n_total': {tally.n_total} draws, but chunks_done * chunk_size "
             f"= {chunks_done} * {chunk_size} = {chunks_done * chunk_size}"
         )
-    return Checkpoint(tag, seed, chunk_size, chunks_done, tally)
+    return Checkpoint(case, seed, chunk_size, chunks_done, tally)
 
 
 def _worker_signals() -> None:
@@ -256,10 +259,12 @@ def _worker_signals() -> None:
 def chunk_tallies(case, seed: int, chunk_size: int, chunks: range, workers: int):
     """Yield run_chunk's TallyCounts for each chunk in chunks, in chunk order.
 
-    The one place that knows about processes.  With min(workers,
-    len(chunks), WINDOW) <= 1 the chunks run in this process; otherwise a
-    pool of that many processes runs them, submitted a window of WINDOW at
-    a time and read back in order, so at most WINDOW results are held.  No
+    The one place that knows about processes: workers=None means the CPUs
+    this process may run on.  With min(workers, len(chunks[:WINDOW])) <= 1
+    the chunks run in this process; otherwise a pool of that many processes
+    runs them, submitted a window of WINDOW at a time and read back in
+    order, so at most WINDOW results are held.  No len() of the whole range
+    is taken, so a run of more than 2**63-1 chunks starts too.  No
     chunk is cancelled (as Executor.map cancels the queued ones when an
     interrupt unwinds it): ending the workers makes the pool's thread fail
     every chunk still pending, which on a cancelled one raised
@@ -272,7 +277,10 @@ def chunk_tallies(case, seed: int, chunk_size: int, chunks: range, workers: int)
     """
     task = partial(run_chunk, case, chunk_size=chunk_size)
     streams = (StreamSpec(seed, 0, i) for i in chunks)
-    processes = min(workers, len(chunks), WINDOW)
+    if workers is None:
+        workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                   else os.cpu_count() or 1)
+    processes = min(workers, len(chunks[:WINDOW]))
     if processes <= 1:
         yield from map(task, streams)
         return
@@ -301,11 +309,12 @@ def estimate(
     """Estimate the conditional probability n_sep/n_positive over n_total draws.
 
     n_total is rounded up to whole chunks.  workers=None means the CPUs this
-    process may run on.  The tally is invariant under the worker count and
-    any interrupt/resume through checkpoints; only wall time varies.  With
-    checkpoint_path the run resumes from that file if it exists and rewrites
-    it after every checkpoint_every completed chunks and after the last one
-    (0: never write).  A path that cannot be opened, other than a missing
+    process may run on, as `chunk_tallies` counts them.  The tally is
+    invariant under the worker count and any interrupt/resume through
+    checkpoints; only wall time varies.  With checkpoint_path the run
+    resumes from that file if it exists and rewrites it after every
+    checkpoint_every completed chunks and after the last one (0: never
+    write).  A path that cannot be opened, other than a missing
     file in an existing directory (`check_path`), raises OSError before the
     first chunk.  The chunks come from `chunk_tallies`, the one place that
     knows about processes, and a checkpoint always describes an exact
@@ -319,10 +328,8 @@ def estimate(
     case = get_case(case)
     n_total = integer_in(n_total, "n_total", 1)
     chunk_size = integer_in(chunk_size, "chunk_size", 1)
-    if workers is None:
-        workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                   else os.cpu_count() or 1)
-    integer_in(workers, "workers", 1)
+    if workers is not None:
+        integer_in(workers, "workers", 1)
     integer_in(checkpoint_every, "checkpoint_every")
     seed = integer_in(seed, "seed", 0, SEED_LIMIT)
     if checkpoint_path == "":
@@ -338,8 +345,8 @@ def estimate(
             # no checkpoint yet; a path the first save cannot write is refused now
             check_path(checkpoint_path)
         else:
-            for field, theirs, ours in zip(("case", "seed", "chunk_size"),
-                                           astuple(loaded), astuple(run)):
+            for field in ("case", "seed", "chunk_size"):
+                theirs, ours = getattr(loaded, field), getattr(run, field)
                 if theirs != ours:
                     raise CheckpointError(
                         f"field {field!r}: checkpoint has {theirs!r}, run uses {ours!r}"

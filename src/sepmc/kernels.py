@@ -93,12 +93,13 @@ def _column_tables(signs, init):
 
 @lru_cache(maxsize=None)
 def case_tables(tag: str):
-    """(kappa, beta, tables, pt_tables): assembly of rho = I/d + sum_a c_a G_a for one family.
+    """(kappa, tables, pt_tables): assembly of rho = I/d + sum_a c_a G_a for one family.
 
     rho is read as a 4x4 matrix over the family's number system, beta real
-    parts per entry (see `algebra.entry_parts`).  Every nonzero part of a
-    generator entry is +-kappa, so with Y = kappa * c (one row per
-    generator) each part of each entry of rho is a signed sum of rows of Y.  Each is compiled into
+    parts per entry with beta the family's `StateCase.beta` (see
+    `algebra.entry_parts`).  Every nonzero part of a generator entry is
+    +-kappa, so with Y = kappa * c (one row per generator) each part of
+    each entry of rho is a signed sum of rows of Y.  Each is compiled into
     one program (init, ops), 1/d on the diagonal and 0 below it: op(init,
     Y[a]) for the first (op, a) in ops, then op(entry, Y[a]) for the rest,
     one np.add or np.subtract per generator in increasing generator index;
@@ -128,8 +129,7 @@ def case_tables(tag: str):
     pt = np.asarray(pt_sign_vector(tag), dtype=np.int8)
     pt_signs = signs * pt[None, :, None, None]
     init = 1.0 / basis.shape[-1]
-    return (kappa, len(parts), _column_tables(signs, init),
-            _column_tables(pt_signs, init))
+    return kappa, _column_tables(signs, init), _column_tables(pt_signs, init)
 
 
 def _entry(program, Y: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -191,14 +191,14 @@ def count_tallies(pts: np.ndarray, tag: str):
     and non-finite input raises ValueError instead of being tallied.
     """
     case = get_case(tag)
-    kappa, beta, tables, pt_tables = case_tables(case.tag)
+    kappa, tables, pt_tables = case_tables(case.tag)
     pts = as_coefficients(case, pts, 2)
     npos = 0
     nsep = 0
     for lo in range(0, len(pts), _TILE):
         Y = np.multiply(pts[lo : lo + _TILE].T, kappa, order="C")
-        pos = _positive_lanes(Y, beta, tables)
+        pos = _positive_lanes(Y, case.beta, tables)
         if pos.shape[1]:
             npos += pos.shape[1]
-            nsep += _positive_lanes(pos, beta, pt_tables).shape[1]
+            nsep += _positive_lanes(pos, case.beta, pt_tables).shape[1]
     return npos, nsep

@@ -12,7 +12,7 @@ import numpy as np
 from sepmc.algebra import Quaternion, generator_basis
 from sepmc.conjecture import p_of_alpha
 from sepmc.engine import estimate, checkpoint_load, NoPositiveSamplesError
-from sepmc.sampler import derive_stream, sample_ball
+from sepmc.sampler import StreamSpec, sample_ball
 from sepmc.selftest import matrix_partial_transpose, pt_dims
 from sepmc.states import (
     CASES,
@@ -207,7 +207,7 @@ def test_criterion_9_ball_moment_check():
         m = case.num_coeffs
         acc = 0.0
         acc_sq = 0.0
-        rng = derive_stream(90909 + k, 0, 0).generator()
+        rng = StreamSpec(90909 + k, 0, 0).generator()
         done = 0
         while done < n:
             batch = min(1_000_000, n - done)

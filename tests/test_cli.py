@@ -192,6 +192,38 @@ class TestEstimateCommand:
         fresh.pop("wall_time_s")
         assert resumed == fresh
 
+    # the checkpoint text and the document of a fresh run of 4 chunks and of
+    # its resume to 8, as literals: no reorganisation of the engine may move them
+    PINNED = [
+        ("20000", "version 1\ncase rebit\nseed 11\nchunk_size 5000\nchunks_done 4\n"
+                  "n_total 20000\nn_positive 36\nn_sep 14\n",
+         [("schema", "sepmc.result/1"), ("command", "estimate"), ("case", "rebit"),
+          ("alpha", 0.5), ("n_total", 20000), ("n_positive", 36), ("n_sep", 14),
+          ("p_hat", 0.3888888888888889), ("std_err", 0.08124967025363077),
+          ("conjecture", 0.4531249999997934), ("z_score", -0.7906014991861952),
+          ("seed", 11), ("chunk_size", 5000)]),
+        ("40000", "version 1\ncase rebit\nseed 11\nchunk_size 5000\nchunks_done 8\n"
+                  "n_total 40000\nn_positive 69\nn_sep 31\n",
+         [("schema", "sepmc.result/1"), ("command", "estimate"), ("case", "rebit"),
+          ("alpha", 0.5), ("n_total", 40000), ("n_positive", 69), ("n_sep", 31),
+          ("p_hat", 0.4492753623188406), ("std_err", 0.05988237396813556),
+          ("conjecture", 0.4531249999997934), ("z_score", -0.06428665775677612),
+          ("seed", 11), ("chunk_size", 5000)]),
+    ]
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_checkpoint_and_document_bytes_are_pinned(self, capsys, tmp_path, workers):
+        path = tmp_path / "P"
+        for samples, text, doc in self.PINNED:
+            code, out, _ = run_cli(capsys, "estimate", "--case", "rebit", "--samples", samples,
+                                   "--chunk-size", "5000", "--seed", "11", "--workers", workers,
+                                   "--checkpoint", str(path))
+            assert code == 0
+            assert path.read_text() == text
+            got = [(key, value) for key, value in parse_doc(out).items()
+                   if key not in ("wall_time_s", "version")]
+            assert got == doc
+
     def test_workers_auto(self, capsys):
         code, out, _ = run_cli(
             capsys, "estimate", "--case", "rebit", "--samples", "50000",
@@ -629,6 +661,18 @@ class TestStoppedRuns:
         assert_one_line(err, "estimate", needle)
         if isinstance(exc, KeyboardInterrupt) and checkpoint:
             assert str(path) in err
+
+    def test_run_of_more_chunks_than_a_c_index_holds_starts(self, capsys, monkeypatch):
+        # 2**64 chunks: the run reaches its first chunk instead of failing to size a pool
+        def interrupt(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(engine, "run_chunk", interrupt)
+        code, out, err = run_cli(capsys, "estimate", "--case", "rebit", "--samples",
+                                 str(2**64), "--chunk-size", "1", "--workers", "1")
+        assert code == 130
+        assert out == ""
+        assert_one_line(err, "estimate", "interrupted")
 
     @staticmethod
     def _stopped_run(argv, started, stop):

@@ -8,7 +8,7 @@ import signal
 import subprocess
 import sys
 import threading
-from dataclasses import asdict, astuple
+from dataclasses import asdict, astuple, fields
 from functools import lru_cache
 from pathlib import Path
 from types import SimpleNamespace
@@ -22,7 +22,6 @@ from sepmc import algebra, engine, kernels
 from sepmc.algebra import Quaternion, min_eigenvalue
 from sepmc.engine import (
     CHECKPOINT_MAX_BYTES,
-    KERNEL_BATCH,
     Checkpoint,
     CheckpointError,
     NoPositiveSamplesError,
@@ -34,7 +33,7 @@ from sepmc.engine import (
     estimate,
     run_chunk,
 )
-from sepmc.sampler import StreamSpec, derive_stream, sample_ball
+from sepmc.sampler import DRAW_BATCH, StreamSpec, sample_ball
 from sepmc.states import (
     CASES,
     POSITIVITY_TOL,
@@ -78,25 +77,25 @@ class TestTallyCounts:
 
 class TestRunChunk:
     def test_single_draw(self):
-        t = run_chunk("qubit", derive_stream(0, 0, 0), 1)
+        t = run_chunk("qubit", StreamSpec(0, 0, 0), 1)
         assert t.n_total == 1
         assert 0 <= t.n_sep <= t.n_positive <= 1
 
     def test_deterministic_replay(self):
-        s = derive_stream(42, 0, 3)
+        s = StreamSpec(42, 0, 3)
         assert run_chunk("rebit", s, 50_000) == run_chunk("rebit", s, 50_000)
 
     def test_chunk_size_validation(self):
         with pytest.raises(ValueError, match="chunk_size"):
-            run_chunk("qubit", derive_stream(0, 0, 0), 0)
+            run_chunk("qubit", StreamSpec(0, 0, 0), 0)
 
     def test_float_chunk_size_refused(self):
         with pytest.raises(ValueError, match="chunk_size"):
-            run_chunk("rebit", derive_stream(0, 0, 0), 10.0)
+            run_chunk("rebit", StreamSpec(0, 0, 0), 10.0)
 
     def test_tally_ordering_holds(self):
         for tag in CASES:
-            t = run_chunk(tag, derive_stream(9, 0, 0), 30_000)
+            t = run_chunk(tag, StreamSpec(9, 0, 0), 30_000)
             assert 0 <= t.n_sep <= t.n_positive <= t.n_total == 30_000
 
     def test_matches_per_sample_api(self):
@@ -104,8 +103,8 @@ class TestRunChunk:
         for tag in ("rebit", "qubit"):
             case = CASES[tag]
             n = 20_000
-            t = run_chunk(tag, derive_stream(77, 0, 0), n)
-            pts = sample_ball(case.num_coeffs, case.radius, derive_stream(77, 0, 0), n)
+            t = run_chunk(tag, StreamSpec(77, 0, 0), n)
+            pts = sample_ball(case.num_coeffs, case.radius, StreamSpec(77, 0, 0), n)
             n_pos = n_sep = 0
             for row in pts:
                 v = CoeffVector(case, row)
@@ -116,9 +115,9 @@ class TestRunChunk:
             assert (t.n_positive, t.n_sep) == (n_pos, n_sep)
         # chunks spanning one, two and three draw batches, scored by the kernel
         for tag, case in CASES.items():
-            for n in (KERNEL_BATCH - 1, KERNEL_BATCH, KERNEL_BATCH + 1, 2 * KERNEL_BATCH + 1):
-                t = run_chunk(tag, derive_stream(77, 0, 0), n)
-                pts = sample_ball(case.num_coeffs, case.radius, derive_stream(77, 0, 0), n)
+            for n in (DRAW_BATCH - 1, DRAW_BATCH, DRAW_BATCH + 1, 2 * DRAW_BATCH + 1):
+                t = run_chunk(tag, StreamSpec(77, 0, 0), n)
+                pts = sample_ball(case.num_coeffs, case.radius, StreamSpec(77, 0, 0), n)
                 assert t == TallyCounts(n, *kernels.count_tallies(pts, tag)), (tag, n)
 
 
@@ -190,7 +189,7 @@ def test_import_layering():
 
 def test_only_chunk_tallies_knows_about_processes():
     # process scheduling stays behind one function, whatever else the fold grows
-    pool_names = re.compile(r"\b(ProcessPoolExecutor|_processes)\b")
+    pool_names = re.compile(r"\b(ProcessPoolExecutor|_processes|sched_getaffinity|cpu_count)\b")
     assert not pool_names.search(inspect.getsource(engine.estimate))
     found = set()
     for path in Path(engine.__file__).parent.glob("*.py"):
@@ -212,7 +211,7 @@ def _scored_points(tag):
     """
     case = CASES[tag]
     n = 1500
-    pts = sample_ball(case.num_coeffs, case.radius, derive_stream(31, 0, 0), n)
+    pts = sample_ball(case.num_coeffs, case.radius, StreamSpec(31, 0, 0), n)
     pts *= np.random.default_rng(3).uniform(0.05, 1.0, (n, 1))
     kernel = np.array([kernels.count_tallies(row[None], tag) for row in pts])
     eig = []
@@ -264,7 +263,7 @@ class TestKernelAgainstEigenvalueRoute:
         # rho[0, 0] = 1/d + c.g with g[a] = G_a[0, 0]: a step of 0.6 along -g
         # makes it negative for every point of the small noise ball
         g = case.basis[:, 0, 0].real
-        noise = sample_ball(case.num_coeffs, 0.05, derive_stream(8, 0, 0), 4096)
+        noise = sample_ball(case.num_coeffs, 0.05, StreamSpec(8, 0, 0), 4096)
         dead = noise - 0.6 * g / np.linalg.norm(g)
         assert np.all(1 / case.dim + dead @ g < -0.1)
         assert kernels.count_tallies(dead, tag) == (0, 0)
@@ -313,16 +312,17 @@ class TestCaseTables:
 
     @pytest.mark.parametrize("tag, beta", [("rebit", 1), ("qubit", 2), ("quaterbit", 4)])
     def test_number_system(self, tag, beta):
-        _, b, tables, pt_tables = kernels.case_tables(tag)
-        assert b == beta
+        _, tables, pt_tables = kernels.case_tables(tag)
         assert len(tables) == len(pt_tables) == 4
+        for tab in (tables, pt_tables):
+            assert {part for _, lower in tab for part, _, _ in lower} == set(range(beta))
 
     @pytest.mark.parametrize("tag", sorted(CASES))
     def test_signs_are_the_basis_signs_and_pt_flips_them(self, tag):
         # lane g holds the unit vector e_g, so each assembled entry is the
         # sign (0 or +-1) with which generator g enters it, plus 1/d on the diagonal
         case = CASES[tag]
-        _, beta, tables, pt_tables = kernels.case_tables(tag)
+        _, tables, pt_tables = kernels.case_tables(tag)
         d, m = case.dim, case.num_coeffs
         lower = np.tril(np.ones((d, d), dtype=bool))
         signs = np.sign(np.stack([case.basis.real, case.basis.imag])).transpose(0, 2, 3, 1)
@@ -331,17 +331,17 @@ class TestCaseTables:
         eye[0] = np.eye(d)[..., None] / d
         pt = pt_sign_vector(tag)
         for tab, want in ((tables, signs + eye), (pt_tables, signs * pt + eye)):
-            got = _block_form(_assemble(beta, tab, np.eye(m)))
+            got = _block_form(_assemble(case.beta, tab, np.eye(m)))
             np.testing.assert_array_equal(got.real, want[0])
             np.testing.assert_array_equal(got.imag, want[1])
 
     @pytest.mark.parametrize("tag", sorted(CASES))
     def test_kappa_scaled_rows_assemble_rho(self, tag):
         case = CASES[tag]
-        kappa, beta, tables, pt_tables = kernels.case_tables(tag)
-        c = sample_ball(case.num_coeffs, case.radius, derive_stream(4, 0, 0), 5)
+        kappa, tables, pt_tables = kernels.case_tables(tag)
+        c = sample_ball(case.num_coeffs, case.radius, StreamSpec(4, 0, 0), 5)
         for tab, pts in ((tables, c), (pt_tables, c * pt_sign_vector(tag))):
-            rho = _block_form(_assemble(beta, tab, kappa * c.T))
+            rho = _block_form(_assemble(case.beta, tab, kappa * c.T))
             for r, row in enumerate(pts):
                 want = np.tril(coeffs_to_density(CoeffVector(case, row)))
                 np.testing.assert_allclose(rho[..., r], want, atol=1e-15)
@@ -379,10 +379,10 @@ class TestCaseTables:
         doctor(basis)
         monkeypatch.setattr(kernels, "get_case",
                             lambda tag: SimpleNamespace(basis=basis, beta=CASES[tag].beta))
-        kappa, beta, tables, pt_tables = kernels.case_tables.__wrapped__("qubit")
-        c = sample_ball(15, CASES["qubit"].radius, derive_stream(4, 0, 0), 5)
+        kappa, tables, pt_tables = kernels.case_tables.__wrapped__("qubit")
+        c = sample_ball(15, CASES["qubit"].radius, StreamSpec(4, 0, 0), 5)
         for tab, pts in ((tables, c), (pt_tables, c * pt_sign_vector("qubit"))):
-            rho = _block_form(_assemble(beta, tab, kappa * c.T))
+            rho = _block_form(_assemble(CASES["qubit"].beta, tab, kappa * c.T))
             for r, row in enumerate(pts):
                 want = np.eye(4, dtype=complex) / 4
                 for a, g in enumerate(basis):
@@ -439,7 +439,7 @@ class TestQuaterbitBoundary:
 
     def test_kernel_takes_the_side_of_each_point(self):
         case = CASES["quaterbit"]
-        dirs = sample_ball(case.num_coeffs, case.radius, derive_stream(12, 0, 0), 400)
+        dirs = sample_ball(case.num_coeffs, case.radius, StreamSpec(12, 0, 0), 400)
         rows, sides = [], []
         for pt in (False, True):
             found = 0
@@ -471,7 +471,7 @@ class TestSeededTallies:
         ("quaterbit", (200_000, 0, 0)),
     ])
     def test_ball_chunk(self, tag, expected):
-        assert run_chunk(tag, derive_stream(2024, 0, 0), 200_000) == TallyCounts(*expected)
+        assert run_chunk(tag, StreamSpec(2024, 0, 0), 200_000) == TallyCounts(*expected)
 
     @pytest.mark.parametrize("tag, factor, expected", [
         ("rebit", 0.6, (2864, 1513)),
@@ -481,7 +481,7 @@ class TestSeededTallies:
     def test_shrunk_ball(self, tag, factor, expected):
         # shrinking the ball makes most points states, so both passes run deep
         case = CASES[tag]
-        pts = sample_ball(case.num_coeffs, case.radius, derive_stream(2024, 0, 1), 20_000)
+        pts = sample_ball(case.num_coeffs, case.radius, StreamSpec(2024, 0, 1), 20_000)
         assert kernels.count_tallies(pts * factor, tag) == expected
 
 
@@ -702,6 +702,15 @@ class TestChunkTallies:
         assert sizes == [2]
         assert events.count("submit") <= 3  # the second window was never submitted
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_more_chunks_than_a_c_index_holds(self, workers):
+        # the pool is sized from the first window, never from len(chunks),
+        # which raises OverflowError beyond 2**63 - 1 chunks
+        tallies = chunk_tallies("rebit", 0, 1, range(2**64), workers)
+        assert next(tallies) == run_chunk("rebit", StreamSpec(0, 0, 0), 1)
+        tallies.close()
+        assert multiprocessing.active_children() == []
+
 
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
@@ -727,6 +736,12 @@ class TestCheckpoint:
             checkpoint_save(state, path)
         assert not path.exists()
         assert not (tmp_path / "run.ckpt.tmp").exists()
+
+    def test_record_fields_are_the_file_keys(self):
+        # checkpoint_save writes the record's own values in field order
+        run = [f.name for f in fields(Checkpoint) if f.name != "tally"]
+        assert list(engine._CHECKPOINT_FIELDS) == [
+            "version", *run, *(f.name for f in fields(TallyCounts))]
 
     def test_file_is_documented_key_value_text(self, tmp_path):
         path = tmp_path / "run.ckpt"
@@ -913,7 +928,7 @@ _FUZZ_CHUNKS = 6
 
 @lru_cache(maxsize=None)
 def _fuzz_chunk_tally(chunk_idx):
-    return run_chunk("rebit", derive_stream(5, 0, chunk_idx), _FUZZ_CHUNK)
+    return run_chunk("rebit", StreamSpec(5, 0, chunk_idx), _FUZZ_CHUNK)
 
 
 _INT_FIELDS = ("version", "seed", "chunk_size", "chunks_done", "n_total", "n_positive", "n_sep")

@@ -2,21 +2,21 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from sepmc.sampler import StreamSpec, ball_from_draws, derive_stream, integer_in, sample_ball
+from sepmc.sampler import StreamSpec, ball_from_draws, integer_in, sample_ball
 
 
 class TestStreamSpec:
     def test_derive_is_injective_smoke(self):
-        a = derive_stream(42, 0, 0)
-        b = derive_stream(42, 0, 1)
+        a = StreamSpec(42, 0, 0)
+        b = StreamSpec(42, 0, 1)
         assert a != b
         xa = sample_ball(5, 1.0, a, 4)
         xb = sample_ball(5, 1.0, b, 4)
         assert not np.array_equal(xa, xb)
 
     def test_same_triple_reproduces_bit_for_bit(self):
-        a = sample_ball(9, 0.5, derive_stream(7, 3, 11), 10_000)
-        b = sample_ball(9, 0.5, derive_stream(7, 3, 11), 10_000)
+        a = sample_ball(9, 0.5, StreamSpec(7, 3, 11), 10_000)
+        b = sample_ball(9, 0.5, StreamSpec(7, 3, 11), 10_000)
         assert np.array_equal(a, b)
 
     def test_validation(self):
@@ -27,7 +27,7 @@ class TestStreamSpec:
         with pytest.raises(ValueError, match="seed"):
             StreamSpec(1.5, 0, 0)
         with pytest.raises(ValueError, match="seed"):
-            derive_stream(1.5, 0, 0)
+            StreamSpec(1.5, 0, 0)
         with pytest.raises(ValueError, match="non-negative"):
             StreamSpec(0, -1, 0)
         with pytest.raises(ValueError, match="non-negative"):
@@ -38,10 +38,10 @@ class TestStreamSpec:
         with pytest.raises(ValueError, match="seed"):
             StreamSpec(True, 0, 0)
         with pytest.raises(ValueError, match="worker"):
-            derive_stream(1, 0.5, 0)
+            StreamSpec(1, 0.5, 0)
         with pytest.raises(ValueError, match="chunk"):
-            derive_stream(1, 0, 0.5)
-        assert derive_stream(np.uint64(2**64 - 1), np.int64(3), 0).seed == 2**64 - 1
+            StreamSpec(1, 0, 0.5)
+        assert StreamSpec(np.uint64(2**64 - 1), np.int64(3), 0).seed == 2**64 - 1
 
     def test_accepted_integers_come_back_as_python_ints(self):
         for value in (np.uint64(2**64 - 1), np.int64(3), np.int8(0), 7):
@@ -52,7 +52,7 @@ class TestStreamSpec:
         n = 1_000_000
 
         def norm_sq_sequence(worker):
-            pts = sample_ball(5, 1.0, derive_stream(42, worker, 0), n)
+            pts = sample_ball(5, 1.0, StreamSpec(42, worker, 0), n)
             return np.einsum("ij,ij->i", pts, pts)
 
         c1 = norm_sq_sequence(0)
@@ -67,11 +67,11 @@ class TestStreamSpec:
 
 class TestSampleBall:
     def test_empty(self):
-        out = sample_ball(15, 1.0, derive_stream(0, 0, 0), 0)
+        out = sample_ball(15, 1.0, StreamSpec(0, 0, 0), 0)
         assert out.shape == (0, 15)
 
     def test_argument_validation(self):
-        s = derive_stream(0, 0, 0)
+        s = StreamSpec(0, 0, 0)
         with pytest.raises(ValueError, match="dim"):
             sample_ball(0, 1.0, s, 10)
         with pytest.raises(ValueError, match="radius"):
@@ -93,15 +93,15 @@ class TestSampleBall:
 
     @pytest.mark.parametrize("dim,radius", [(9, np.sqrt(3 / 4)), (27, np.sqrt(7 / 8))])
     def test_inside_ball(self, dim, radius):
-        pts = sample_ball(dim, radius, derive_stream(5, 0, 0), 200_000)
+        pts = sample_ball(dim, radius, StreamSpec(5, 0, 0), 200_000)
         norms = np.sqrt(np.einsum("ij,ij->i", pts, pts))
         assert norms.max() <= radius
         assert norms.min() > 0
 
     def test_generator_continuation(self):
         # one big call == two chained calls on the same generator
-        whole = sample_ball(7, 2.0, derive_stream(3, 0, 0), 1 << 17)
-        rng = derive_stream(3, 0, 0).generator()
+        whole = sample_ball(7, 2.0, StreamSpec(3, 0, 0), 1 << 17)
+        rng = StreamSpec(3, 0, 0).generator()
         first = sample_ball(7, 2.0, rng, 1 << 16)
         second = sample_ball(7, 2.0, rng, 1 << 16)
         assert np.array_equal(np.vstack([first, second]), whole)
@@ -110,14 +110,14 @@ class TestSampleBall:
     def test_radial_moment(self, dim):
         n = 1_000_000
         radius = 1.7
-        pts = sample_ball(dim, radius, derive_stream(100 + dim, 0, 0), n)
+        pts = sample_ball(dim, radius, StreamSpec(100 + dim, 0, 0), n)
         t = np.einsum("ij,ij->i", pts, pts) / radius**2
         se = t.std(ddof=1) / np.sqrt(n)
         assert abs(t.mean() - dim / (dim + 2)) <= 5 * se
 
     def test_marginal_moments(self):
         dim, n = 9, 1_000_000
-        pts = sample_ball(dim, 1.0, derive_stream(321, 0, 0), n)
+        pts = sample_ball(dim, 1.0, StreamSpec(321, 0, 0), n)
         # E[x_i] = 0 and E[x_i x_j] = delta_ij / (dim + 2)
         mean_se = pts.std(axis=0, ddof=1) / np.sqrt(n)
         assert np.all(np.abs(pts.mean(axis=0)) <= 5 * mean_se)
@@ -131,7 +131,7 @@ class TestSampleBall:
 
     def test_rotation_invariance_proxy(self):
         dim, n = 15, 1_000_000
-        pts = sample_ball(dim, 1.0, derive_stream(77, 0, 0), n)
+        pts = sample_ball(dim, 1.0, StreamSpec(77, 0, 0), n)
         u1 = np.zeros(dim)
         u1[0] = 1.0
         u2 = np.zeros(dim)

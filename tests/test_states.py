@@ -3,7 +3,7 @@ import pytest
 
 from sepmc.algebra import PAULI, Quaternion, check_hermitian
 from sepmc.kernels import count_tallies
-from sepmc.sampler import StreamSpec, ball_batches, derive_stream, sample_ball
+from sepmc.sampler import StreamSpec, ball_batches, sample_ball
 from sepmc.selftest import matrix_partial_transpose, pt_dims
 from sepmc.states import (
     CASES,
@@ -349,7 +349,7 @@ class TestPartialTranspose:
             rho = np.eye(8) / 8 + np.einsum("na,aij->nij", pts, QUATERBIT.basis)
             return np.linalg.eigvalsh(rho)[:, 0] >= -POSITIVITY_TOL
 
-        c = 0.3 * sample_ball(27, QUATERBIT.radius, derive_stream(9, 0, 0), 20_000)
+        c = 0.3 * sample_ball(27, QUATERBIT.radius, StreamSpec(9, 0, 0), 20_000)
         sign_a, sign_b = pt_sign_vector("quaterbit", "A"), pt_sign_vector("quaterbit", "B")
         pos = positive(c)
         ppt_a, ppt_b = pos & positive(c * sign_a), pos & positive(c * sign_b)
