@@ -22,6 +22,15 @@ The signs are read off `Quaternion.__mul__` and `conjugate` on the units
 1, i, j, k.  The table's leading beta x beta block is the table of the
 complex (beta = 2) and real (beta = 1) numbers, since the product of two
 elements with zero parts from beta on has zero parts from beta on.
+
+Product programs.  Row r of the table is compiled once into a program
+(`_PRODUCT_PROGRAMS`) of the same form as the kernel's entry programs:
+op(0.0, x_0 * y_r), then op(part, x_s * y_(r xor s)) for each further s in
+order, op np.add where the sign is +1 and np.subtract where it is -1; a
+beta-part product runs the first beta steps of the first beta programs.
+Negating a product is exact, x + (-t) = x - t, 0 + t = t and 0 - t = -t,
+so a program gives every part the bits of the signed sum above; only the
+sign of an exact zero can differ, which no kernel comparison sees.
 """
 
 from __future__ import annotations
@@ -94,6 +103,10 @@ _UNITS = [Quaternion(*row) for row in np.eye(4)]
 PRODUCT_SIGNS = np.array([[astuple(_UNITS[s] * _UNITS[r ^ s].conjugate())[r]
                            for s in range(4)] for r in range(4)])
 PRODUCT_PARTS = np.arange(4)[:, None] ^ np.arange(4)
+# _PRODUCT_PROGRAMS[r]: (op, s, PRODUCT_PARTS[r, s]) for s ascending
+_PRODUCT_PROGRAMS = tuple(tuple((np.add if PRODUCT_SIGNS[r, s] > 0 else np.subtract,
+                                 s, int(PRODUCT_PARTS[r, s])) for s in range(4))
+                          for r in range(4))
 
 
 def entry_parts(beta: int, matrices: np.ndarray, name: str) -> np.ndarray:
@@ -125,15 +138,17 @@ def entry_parts(beta: int, matrices: np.ndarray, name: str) -> np.ndarray:
 def mul_conj(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Part r of x * conj(y), for x of shape (beta, rows, k, lanes) and y of shape (beta, k, lanes).
 
-    Every product x_s * (sign * y_(r xor s)) is formed in one broadcast
-    multiply and summed over s in order; the result has x's shape.
+    Part r runs its product program: each product x_s * y_(r xor s) is
+    formed into one reusable buffer of x's part shape and added to or
+    subtracted from the part, in increasing s.  The result has x's shape.
     """
     beta = len(x)
-    conj_y = y[PRODUCT_PARTS[:beta, :beta]] * PRODUCT_SIGNS[:beta, :beta, None, None]
-    prod = x[None] * conj_y[:, :, None]
-    out = prod[:, 0]
-    for s in range(1, beta):
-        out += prod[:, s]
+    out = np.empty(x.shape)
+    term = np.empty(x.shape[1:])
+    for part, program in zip(out, _PRODUCT_PROGRAMS):
+        acc = 0.0
+        for op, s, t in program[:beta]:
+            acc = op(acc, np.multiply(x[s], y[t], out=term), out=part)
     return out
 
 

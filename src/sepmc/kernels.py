@@ -40,18 +40,21 @@ is never built.
 Arithmetic.  An entry is the sum of c_a * G_a[i, j] in increasing generator
 index, from 1/d on the diagonal and from 0 below it; the pivot is
 rho[j, j] + tol minus |L[j, k]|^2 for k ascending, each norm the sum of the
-squares of its beta parts in part order; an entry below it subtracts the
-product L[i, k] * conj(L[j, k]) for k ascending, each part a sum over the
-product table in order (`algebra.mul_conj`); and it is scaled by 1/L[j, j].
-The entry programs give every entry the bits of that sum: rounding is
-symmetric in sign, so c*(-kappa) = -(c*kappa), x + (-y) = x - y, 0 + y = y
-and 0 - y = -y, and only the sign of an exact zero can differ, which no
-later comparison or nonzero value sees.  The qubit update is op for op the
-complex one, (ar*br + ai*bi, ai*br - ar*bi), as -(ar*bi) + ai*br =
-ai*br - ar*bi exactly, and the rebit one is the complex one with its
-operations on exact zeros dropped, so rebit and qubit verdicts keep their
-bits.  A quaterbit verdict equals the one of the 8x8
-complex factorization in exact arithmetic.  Dropping lanes changes which
+squares of its beta parts in part order, each square formed into one
+reusable buffer; an entry below it subtracts the product
+L[i, k] * conj(L[j, k]) for k ascending, each part computed by its product
+program (`algebra.mul_conj`): every term formed once into a reusable buffer
+and added or subtracted in the product table's order; and it is scaled by
+1/L[j, j].  The entry and product programs give every value the bits of
+the signed sum: rounding is symmetric in sign, so c*(-kappa) = -(c*kappa),
+x + (-y) = x - y, 0 + y = y and 0 - y = -y, and only the sign of an exact
+zero can differ, which no later comparison or nonzero value sees.  The
+qubit product program, (0 + ar*br + ai*bi, 0 - ar*bi + ai*br), gives the
+bits of the complex product (ar*br + ai*bi, ai*br - ar*bi), as -(ar*bi) +
+ai*br = ai*br - ar*bi exactly, and the rebit one is the complex one with
+its operations on exact zeros dropped, so rebit and qubit verdicts keep
+their bits.  A quaterbit verdict equals the one of the 8x8 complex
+factorization in exact arithmetic.  Dropping lanes changes which
 lanes are computed, never the arithmetic of the ones that remain.  The
 arithmetic is real, elementwise and unfused (no FMA), so a verdict depends
 neither on the machine nor on the point's position in its batch.
@@ -154,10 +157,11 @@ def _positive_lanes(Y: np.ndarray, beta: int, tables) -> np.ndarray:
         s = _entry(pivot, Y, np.empty(n))
         s += POSITIVITY_TOL
         if j:
-            sq = L[:, j, :j] ** 2
-            norm = sq[0]
+            row = L[:, j, :j]
+            norm, sq = np.multiply(row[0], row[0]), None
             for r in range(1, beta):
-                norm += sq[r]
+                sq = np.multiply(row[r], row[r], out=sq)
+                norm += sq
             for k in range(j):
                 s -= norm[k]
         alive = s > 0.0

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -150,19 +152,43 @@ class TestNumberSystems:
 
     @pytest.mark.parametrize("beta", [1, 2, 4])
     def test_mul_conj_against_quaternion_product(self, beta):
+        # Quaternion.__mul__ sums its terms in the product table's order, so
+        # the values are equal, not close; np.array_equal counts -0.0 == 0.0.
+        # Operands: a contiguous (rows, k) = (3, 2) pair, and the kernel's
+        # non-contiguous slices L[:, j+1:, :j], L[:, j, :j] of a (beta, 4, 4, n) L
+        # for j = 1 and 2, (rows, k) = (2, 1) and (1, 2).
         rng = np.random.default_rng(20 + beta)
-        rows, k, lanes = 3, 2, 5
-        x = rng.standard_normal((beta, rows, k, lanes))
-        y = rng.standard_normal((beta, k, lanes))
-        got = mul_conj(x, y)
-        assert got.shape == x.shape
+        lanes = 5
+        L = rng.standard_normal((beta, 4, 4, lanes))
+        operands = [(rng.standard_normal((beta, 3, 2, lanes)),
+                     rng.standard_normal((beta, 2, lanes)))]
+        operands += [(L[:, j + 1:, :j], L[:, j, :j]) for j in (1, 2)]
         pad = lambda v: Quaternion(*v, *[0.0] * (4 - beta))  # noqa: E731
-        for i in range(rows):
-            for kk in range(k):
-                for n in range(lanes):
-                    p = pad(x[:, i, kk, n]) * pad(y[:, kk, n]).conjugate()
-                    want = [p.a, p.b, p.c, p.d]
-                    assert np.allclose(got[:, i, kk, n], want[:beta], rtol=1e-14, atol=1e-15)
+        for x, y in operands:
+            x[np.abs(x) < 0.3] = 0.0  # exact zero parts and products
+            got = mul_conj(x, y)
+            assert got.shape == x.shape
+            _, rows, k, _ = x.shape
+            for i in range(rows):
+                for kk in range(k):
+                    for n in range(lanes):
+                        p = pad(x[:, i, kk, n]) * pad(y[:, kk, n]).conjugate()
+                        assert np.array_equal(got[:, i, kk, n], [p.a, p.b, p.c, p.d][:beta])
+
+    @pytest.mark.parametrize("j", [1, 2])
+    def test_mul_conj_allocates_no_beta_squared_temporaries(self, j):
+        # the kernel's update at column j of a 4096-lane quaterbit tile: the
+        # output (x's size) and one part-sized product buffer, no (beta, beta, ...)
+        # copy of y or of the products
+        L = np.random.default_rng(25).standard_normal((4, 4, 4, 4096))
+        x, y = L[:, j + 1:, :j], L[:, j, :j]
+        tracemalloc.start()
+        try:
+            mul_conj(x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * x.nbytes
 
     def test_entry_parts_recovers_quaternion_parts(self):
         rng = np.random.default_rng(23)
