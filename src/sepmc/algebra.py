@@ -14,7 +14,8 @@ form of a 4x4 quaternion matrix Q (`block_form`), and rho + tol*I_8 is
 the block form of Q + tol*I_4, so factoring Q decides the same question as
 factoring rho without computing every entry twice.  This module is the one
 place that states how an entry is stored (`block_form`, `entry_parts`) and
-multiplied (`PRODUCT_SIGNS`, `PRODUCT_PARTS`, `mul_conj`).
+multiplied (`PRODUCT_SIGNS`, `PRODUCT_PARTS`, `mul_conj`, `abs_squared`), and
+the one place that turns signs into operations.
 
 Product table.  Part r of x * conj(y) is the sum over s, in order, of
 PRODUCT_SIGNS[r, s] * x_s * y_(r xor s), with PRODUCT_PARTS[r, s] = r xor s.
@@ -23,14 +24,25 @@ The signs are read off `Quaternion.__mul__` and `conjugate` on the units
 complex (beta = 2) and real (beta = 1) numbers, since the product of two
 elements with zero parts from beta on has zero parts from beta on.
 
-Product programs.  Row r of the table is compiled once into a program
-(`_PRODUCT_PROGRAMS`) of the same form as the kernel's entry programs:
-op(0.0, x_0 * y_r), then op(part, x_s * y_(r xor s)) for each further s in
-order, op np.add where the sign is +1 and np.subtract where it is -1; a
-beta-part product runs the first beta steps of the first beta programs.
-Negating a product is exact, x + (-t) = x - t, 0 + t = t and 0 - t = -t,
-so a program gives every part the bits of the signed sum above; only the
-sign of an exact zero can differ, which no kernel comparison sees.
+Signed-sum programs.  Every signed sum the kernel forms is one program:
+each part of each entry of rho (a signed sum of kappa-scaled coefficient
+rows), each part of a product x * conj(y) and the norm |x|^2.
+- Compile rule: `signed_program` turns a vector of signs into (op, step)
+  pairs, one per nonzero sign in increasing step, op np.add for +1 and
+  np.subtract for -1; a zero sign is dropped.
+- Run rule: `run_signed` folds acc = op(acc, term(step), out=out) over the
+  pairs in order from acc = init, and sets out = init if there is no step.
+- `_PRODUCT_PROGRAMS[r]` is row r of the product table compiled so.  A
+  beta-part product runs the first beta steps of the first beta programs,
+  each from 0.0.  |x|^2 runs program 0, which adds x_s * x_s for s
+  ascending; its first step, 0 + x_0 * x_0, is formed in place as
+  x_0 * x_0, which is exact since a square is never -0.
+A program gives the bits of its signed sum.  Rounding is symmetric in
+sign, so c * (-kappa) = -(c * kappa); x + (-t) = x - t, 0 + t = t and
+0 - t = -t hold exactly, and so does commuting an addition, which makes
+the qubit program (0 + ar*br + ai*bi, 0 - ar*bi + ai*br) the complex
+product (ar*br + ai*bi, ai*br - ar*bi) bit for bit.  Only the sign of an
+exact zero can differ, which no comparison and no nonzero value sees.
 """
 
 from __future__ import annotations
@@ -103,10 +115,25 @@ _UNITS = [Quaternion(*row) for row in np.eye(4)]
 PRODUCT_SIGNS = np.array([[astuple(_UNITS[s] * _UNITS[r ^ s].conjugate())[r]
                            for s in range(4)] for r in range(4)])
 PRODUCT_PARTS = np.arange(4)[:, None] ^ np.arange(4)
-# _PRODUCT_PROGRAMS[r]: (op, s, PRODUCT_PARTS[r, s]) for s ascending
-_PRODUCT_PROGRAMS = tuple(tuple((np.add if PRODUCT_SIGNS[r, s] > 0 else np.subtract,
-                                 s, int(PRODUCT_PARTS[r, s])) for s in range(4))
-                          for r in range(4))
+
+
+def signed_program(signs) -> tuple:
+    """(op, step) for each nonzero sign, step ascending: np.add for +1, np.subtract for -1."""
+    return tuple((np.add if signs[step] > 0 else np.subtract, int(step))
+                 for step in np.flatnonzero(signs))
+
+
+def run_signed(init, program, term, out: np.ndarray) -> np.ndarray:
+    """From acc = init, fold acc = op(acc, term(step), out=out) over program; out = init if empty."""
+    acc = init
+    for op, step in program:
+        acc = op(acc, term(step), out=out)
+    if acc is not out:
+        out[...] = acc
+    return out
+
+
+_PRODUCT_PROGRAMS = tuple(signed_program(row) for row in PRODUCT_SIGNS)
 
 
 def entry_parts(beta: int, matrices: np.ndarray, name: str) -> np.ndarray:
@@ -138,18 +165,29 @@ def entry_parts(beta: int, matrices: np.ndarray, name: str) -> np.ndarray:
 def mul_conj(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Part r of x * conj(y), for x of shape (beta, rows, k, lanes) and y of shape (beta, k, lanes).
 
-    Part r runs its product program: each product x_s * y_(r xor s) is
-    formed into one reusable buffer of x's part shape and added to or
+    Part r runs its product program from 0.0: each product x_s * y_(r xor s)
+    is formed into one reusable buffer of x's part shape and added to or
     subtracted from the part, in increasing s.  The result has x's shape.
     """
     beta = len(x)
     out = np.empty(x.shape)
     term = np.empty(x.shape[1:])
-    for part, program in zip(out, _PRODUCT_PROGRAMS):
-        acc = 0.0
-        for op, s, t in program[:beta]:
-            acc = op(acc, np.multiply(x[s], y[t], out=term), out=part)
+    for r, (part, program) in enumerate(zip(out, _PRODUCT_PROGRAMS)):
+        run_signed(0.0, program[:beta], lambda s: np.multiply(x[s], y[r ^ s], out=term), part)
     return out
+
+
+def abs_squared(x: np.ndarray) -> np.ndarray:
+    """|x|^2 = part 0 of x * conj(x), for x of shape (beta, ...); the result has shape x.shape[1:].
+
+    Runs product program 0 with x_0 * x_0 formed into the result as its
+    first step, then each further square x_s * x_s formed into one
+    reusable buffer, allocated only for beta > 1, and added in increasing s.
+    """
+    out = np.multiply(x[0], x[0])
+    term = np.empty(out.shape) if len(x) > 1 else None
+    return run_signed(out, _PRODUCT_PROGRAMS[0][1:len(x)],
+                      lambda s: np.multiply(x[s], x[s], out=term), out)
 
 
 def generator_matrix(label: tuple) -> np.ndarray:

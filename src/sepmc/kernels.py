@@ -19,15 +19,14 @@ transposed, Y = kappa * X^T: contiguous (m, n) rows, one lane per point,
 every per-lane quantity a contiguous float64 row.  The factor L has shape
 (beta, 4, 4, n): part, row, column, lane.
 
-Assembly by signed adds.  `case_tables`, the one table builder, reads off
-the family's basis which rows of Y enter each part of each entry of rho and
-with which sign, and compiles every part into one program: the first
-generator's row added to or subtracted from 1/d on the diagonal or 0 below
-it, then one np.add or np.subtract of a row of Y per further generator, in
-increasing generator index.  One evaluator runs these programs for the
-pivots and for the columns below them.  The partial transpose gets its own
-tables with the signs of `states.pt_sign_vector` folded in, so the PPT pass
-scores the positive lanes' rows of Y as they are, with no sign-flipped copy.
+Assembly.  `case_tables`, the one table builder, reads off the family's
+basis which rows of Y enter each part of each entry of rho and with which
+sign, and compiles every part into one signed-sum program
+(`algebra.signed_program`): from 1/d on the diagonal and from 0 below it,
+one row of Y per generator in increasing generator index.  The partial
+transpose gets its own tables with the signs of `states.pt_sign_vector`
+folded in, so the PPT pass scores the positive lanes' rows of Y as they
+are, with no sign-flipped copy.
 
 Lazy, compacting factorization.  The factorization is left-looking: column
 j's diagonal pivot is assembled and reduced first, the lanes whose pivot is
@@ -37,27 +36,19 @@ soon as no lane is left.  Under ball sampling about half of the qubit lanes
 are gone after two pivots and over 90% after three, so most of the matrix
 is never built.
 
-Arithmetic.  An entry is the sum of c_a * G_a[i, j] in increasing generator
-index, from 1/d on the diagonal and from 0 below it; the pivot is
-rho[j, j] + tol minus |L[j, k]|^2 for k ascending, each norm the sum of the
-squares of its beta parts in part order, each square formed into one
-reusable buffer; an entry below it subtracts the product
-L[i, k] * conj(L[j, k]) for k ascending, each part computed by its product
-program (`algebra.mul_conj`): every term formed once into a reusable buffer
-and added or subtracted in the product table's order; and it is scaled by
-1/L[j, j].  The entry and product programs give every value the bits of
-the signed sum: rounding is symmetric in sign, so c*(-kappa) = -(c*kappa),
-x + (-y) = x - y, 0 + y = y and 0 - y = -y, and only the sign of an exact
-zero can differ, which no later comparison or nonzero value sees.  The
-qubit product program, (0 + ar*br + ai*bi, 0 - ar*bi + ai*br), gives the
-bits of the complex product (ar*br + ai*bi, ai*br - ar*bi), as -(ar*bi) +
-ai*br = ai*br - ar*bi exactly, and the rebit one is the complex one with
-its operations on exact zeros dropped, so rebit and qubit verdicts keep
-their bits.  A quaterbit verdict equals the one of the 8x8 complex
-factorization in exact arithmetic.  Dropping lanes changes which
-lanes are computed, never the arithmetic of the ones that remain.  The
-arithmetic is real, elementwise and unfused (no FMA), so a verdict depends
-neither on the machine nor on the point's position in its batch.
+Arithmetic.  Column j is factored in this order: the pivot is rho[j, j]
++ tol minus |L[j, k]|^2 for k ascending (`algebra.abs_squared`); an entry
+below it is rho[i, j] minus L[i, k] * conj(L[j, k]) for k ascending
+(`algebra.mul_conj`), scaled by 1/L[j, j].  Every entry, norm and
+product part is run by `algebra.run_signed`, whose module docstring
+states why each keeps the bits of its signed sum.  The rebit and qubit
+product programs give the bits of the real and complex products, so
+rebit and qubit verdicts keep their bits; a quaterbit verdict equals the
+one of the 8x8 complex factorization in exact arithmetic.  Dropping
+lanes changes which lanes are computed, never the arithmetic of the ones
+that remain.  The arithmetic is real, elementwise and unfused (no FMA),
+so a verdict depends neither on the machine nor on the point's position
+in its batch.
 """
 
 from __future__ import annotations
@@ -66,7 +57,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import entry_parts, mul_conj
+from .algebra import abs_squared, entry_parts, mul_conj, run_signed, signed_program
 from .states import POSITIVITY_TOL, as_coefficients, get_case, pt_sign_vector
 
 # perfbench records this in its report manifest; only a benchmark change can remove it.
@@ -77,18 +68,12 @@ BACKEND = "numpy"
 _TILE = 4096
 
 
-def _program(init, signs):
-    """(init, ops) for one entry: op(init, Y[a]), then op(entry, Y[a]), for (op, a) in ops."""
-    return init, tuple((np.add if signs[a] > 0 else np.subtract, int(a))
-                       for a in np.flatnonzero(signs))
-
-
 def _column_tables(signs, init):
     """Per column j: (pivot, lower) entry programs for the signs (beta, m, d, d) of one basis."""
     beta, _, d, _ = signs.shape
     return tuple(
-        (_program(init, signs[0, :, j, j]),
-         tuple((p, i, _program(0.0, signs[p, :, i, j]))
+        ((init, signed_program(signs[0, :, j, j])),
+         tuple((p, i, signed_program(signs[p, :, i, j]))
                for i in range(j + 1, d) for p in range(beta)))
         for j in range(d)
     )
@@ -102,15 +87,14 @@ def case_tables(tag: str):
     parts per entry with beta the family's `StateCase.beta` (see
     `algebra.entry_parts`).  Every nonzero part of a generator entry is
     +-kappa, so with Y = kappa * c (one row per generator) each part of
-    each entry of rho is a signed sum of rows of Y.  Each is compiled into
-    one program (init, ops), 1/d on the diagonal and 0 below it: op(init,
-    Y[a]) for the first (op, a) in ops, then op(entry, Y[a]) for the rest,
-    one np.add or np.subtract per generator in increasing generator index;
-    with no generator the entry is init.  tables[j] is (pivot, lower) for
-    column j: pivot is the program of rho[j, j], and for (p, i, program) in
-    lower the program gives part p of rho[i, j].  pt_tables is the same for
-    the partial transpose (subsystem B): the coefficient signs of
-    `states.pt_sign_vector` folded into every entry.
+    each entry of rho is a signed sum of rows of Y, compiled by
+    `algebra.signed_program` with the generator index as step, and is run
+    by `algebra.run_signed` with Y.__getitem__ as term.  tables[j] is
+    (pivot, lower) for column j: pivot is (1/d, the program of rho[j, j]),
+    and for (p, i, program) in lower the program, run from 0.0, gives part
+    p of rho[i, j].  pt_tables is the same for the partial transpose
+    (subsystem B): the coefficient signs of `states.pt_sign_vector` folded
+    into every entry.
 
     Raises ValueError naming the family if its nonzero coefficients do not
     share one magnitude, or if a generator is not a matrix over its number
@@ -135,33 +119,16 @@ def case_tables(tag: str):
     return kappa, _column_tables(signs, init), _column_tables(pt_signs, init)
 
 
-def _entry(program, Y: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Run one entry program of `case_tables` on every lane of Y, into out."""
-    init, ops = program
-    if not ops:
-        out.fill(init)
-        return out
-    op, a = ops[0]
-    op(init, Y[a], out=out)
-    for op, a in ops[1:]:
-        op(out, Y[a], out=out)
-    return out
-
-
 def _positive_lanes(Y: np.ndarray, beta: int, tables) -> np.ndarray:
     """Columns of Y (kappa times one point each) whose rho + POSITIVITY_TOL*I is positive definite."""
     d = len(tables)
     n = Y.shape[1]
     L = np.empty((beta, d, d, n))  # L[p, i, j]: part p of entry (i, j), lanes last
     for j, (pivot, lower) in enumerate(tables):
-        s = _entry(pivot, Y, np.empty(n))
+        s = run_signed(*pivot, Y.__getitem__, np.empty(n))
         s += POSITIVITY_TOL
         if j:
-            row = L[:, j, :j]
-            norm, sq = np.multiply(row[0], row[0]), None
-            for r in range(1, beta):
-                sq = np.multiply(row[r], row[r], out=sq)
-                norm += sq
+            norm = abs_squared(L[:, j, :j])
             for k in range(j):
                 s -= norm[k]
         alive = s > 0.0
@@ -178,8 +145,8 @@ def _positive_lanes(Y: np.ndarray, beta: int, tables) -> np.ndarray:
         if j == d - 1:
             return Y
         inv = 1.0 / np.sqrt(s)
-        for part, i, program in lower:
-            _entry(program, Y, L[part, i, j])
+        for part, i, steps in lower:
+            run_signed(0.0, steps, Y.__getitem__, L[part, i, j])
         c = L[:, j + 1:, j]
         if j:
             update = mul_conj(L[:, j + 1:, :j], L[:, j, :j])

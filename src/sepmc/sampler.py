@@ -38,7 +38,9 @@ its range and the value.
 
 from __future__ import annotations
 
+import numbers
 import operator
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,11 +129,14 @@ def sample_ball(dim: int, radius: float, stream, count: int) -> np.ndarray:
     ``stream`` is a StreamSpec (the draw sequence then restarts at the
     stream origin) or an np.random.Generator (draws continue from its
     current state, for callers accumulating statistics over many calls).
-    Returns an array of shape (count, dim) with every row norm <= radius.
+    ``radius`` is a real number, finite and > 0, not a bool; anything else
+    raises ValueError naming radius.  Returns an array of shape
+    (count, dim) with every row norm <= radius.
     """
     integer_in(dim, "dim", 1)
-    if not (np.isfinite(radius) and radius > 0):
-        raise ValueError(f"radius must be finite and > 0, got {radius}")
+    real = isinstance(radius, numbers.Real) and not isinstance(radius, bool)
+    if not (real and 0 < radius <= sys.float_info.max):
+        raise ValueError(f"radius must be a finite real number > 0, got {radius!r}")
     integer_in(count, "count")
     rng = stream.generator() if isinstance(stream, StreamSpec) else stream
     out = np.empty((count, dim))

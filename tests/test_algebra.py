@@ -7,6 +7,7 @@ from sepmc.algebra import (
     PAULI,
     PRODUCT_SIGNS,
     Quaternion,
+    abs_squared,
     entry_parts,
     generator_basis,
     generator_matrix,
@@ -174,6 +175,17 @@ class TestNumberSystems:
                     for n in range(lanes):
                         p = pad(x[:, i, kk, n]) * pad(y[:, kk, n]).conjugate()
                         assert np.array_equal(got[:, i, kk, n], [p.a, p.b, p.c, p.d][:beta])
+        # |x|^2 on the pivot rows L[:, j, :j], exact zeros included: part 0 of
+        # x * conj(x), and the sum of the squares of the parts in part order
+        L[np.abs(L) < 0.3] = 0.0
+        for j in (1, 2, 3):
+            x = L[:, j, :j]
+            got = abs_squared(x)
+            assert np.array_equal(got, mul_conj(x[:, None], x)[0, 0])
+            want = x[0] * x[0]
+            for r in range(1, beta):
+                want = want + x[r] * x[r]
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("j", [1, 2])
     def test_mul_conj_allocates_no_beta_squared_temporaries(self, j):
@@ -182,13 +194,19 @@ class TestNumberSystems:
         # copy of y or of the products
         L = np.random.default_rng(25).standard_normal((4, 4, 4, 4096))
         x, y = L[:, j + 1:, :j], L[:, j, :j]
-        tracemalloc.start()
-        try:
-            mul_conj(x, y)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2 * x.nbytes
+
+        def peak_of(f, *args):
+            tracemalloc.start()
+            try:
+                f(*args)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak_of(mul_conj, x, y) <= 2 * x.nbytes
+        # the pivot norm: its result and one square buffer, no beta-part copy;
+        # 1 KiB more holds the array headers and the term closure
+        assert peak_of(abs_squared, y) <= 2 * y[0].nbytes + 1024
 
     def test_entry_parts_recovers_quaternion_parts(self):
         rng = np.random.default_rng(23)

@@ -201,6 +201,15 @@ def test_only_chunk_tallies_knows_about_processes():
     assert found == {"engine.chunk_tallies"}
 
 
+def test_only_algebra_turns_signs_into_operations():
+    # the kernel runs signed-sum programs that `algebra.signed_program` compiled;
+    # it names no add or subtract of its own
+    tree = ast.parse(Path(kernels.__file__).read_text())
+    named = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+             and isinstance(node.value, ast.Name) and node.value.id == "np"}
+    assert named.isdisjoint({"add", "subtract"})
+
+
 @lru_cache(maxsize=None)
 def _scored_points(tag):
     """Ball points shrunk by factors spread over [0.05, 1], with per-row verdicts.
@@ -275,13 +284,13 @@ class TestKernelAgainstEigenvalueRoute:
 
 def _assemble(beta, tables, Y):
     """Lower triangle of rho over its number system, shape (beta, d, d, lanes), run from the tables
-    by the kernel's evaluator."""
+    by the kernel's runner, `algebra.run_signed`."""
     d = len(tables)
     rho = np.zeros((beta, d, d, Y.shape[1]))
     for j, (pivot, lower) in enumerate(tables):
-        kernels._entry(pivot, Y, rho[0, j, j])
+        algebra.run_signed(*pivot, Y.__getitem__, rho[0, j, j])
         for p, i, program in lower:
-            kernels._entry(program, Y, rho[p, i, j])
+            algebra.run_signed(0.0, program, Y.__getitem__, rho[p, i, j])
     return rho
 
 

@@ -78,7 +78,10 @@ class TestSampleBall:
             sample_ball(3, 0.0, s, 10)
         with pytest.raises(ValueError, match="radius"):
             sample_ball(3, -2.0, s, 10)
-        for radius in (np.nan, np.inf):
+        # not finite, not real, or not one number: each refused by name, never
+        # read as 1 or as its one element
+        for radius in (np.nan, np.inf, -np.inf, 10**400, True, np.array([1.0]),
+                       np.array([1.0, 2.0]), np.array(1.0), "1.0", None, 1 + 0j):
             with pytest.raises(ValueError, match="radius"):
                 sample_ball(3, radius, s, 10)
         with pytest.raises(ValueError, match="count"):
