@@ -9,13 +9,21 @@ labels are defined in `states`.
 Number systems.  Each state family is a 4x4 Hermitian matrix over its own
 number system, with beta real parts per matrix entry: the reals for rebit
 (beta = 1), the complex numbers for qubit (beta = 2) and the quaternions
-for quaterbit (beta = 4).  A quaterbit's 8x8 complex rho is the 2x2 block
-form of a 4x4 quaternion matrix Q (`block_form`), and rho + tol*I_8 is
-the block form of Q + tol*I_4, so factoring Q decides the same question as
-factoring rho without computing every entry twice.  This module is the one
-place that states how an entry is stored (`block_form`, `entry_parts`) and
-multiplied (`PRODUCT_SIGNS`, `PRODUCT_PARTS`, `mul_conj`, `abs_squared`), and
-the one place that turns signs into operations.
+for quaterbit (beta = 4).  One map pair states how an entry is stored:
+`entry_parts` reads the beta parts off complex matrices, and
+`complex_form` maps parts back to real, complex or, for beta = 4, 2x2
+block complex matrices.  On matrices over the number system the two are
+exact inverses, because each only moves parts, negates them and takes
+products with 0, 1 and i.  So an exact comparison of `complex_form` of
+kappa * signs with a basis is the right table check: kappa * (+-1) is
+exact, and any difference is a generator that is not kappa times signs.
+A quaterbit's 8x8 complex rho is the block form of a 4x4 quaternion
+matrix Q, and rho + tol*I_8 is the block form of Q + tol*I_4, so
+factoring Q decides the same question as factoring rho without computing
+every entry twice.  This module is the one place that states how an
+entry is stored (the map pair) and multiplied (`PRODUCT_SIGNS`,
+`PRODUCT_PARTS`, `mul_conj`, `abs_squared`), and the one place that turns
+signs into operations.
 
 Product table.  Part r of x * conj(y) is the sum over s, in order, of
 PRODUCT_SIGNS[r, s] * x_s * y_(r xor s), with PRODUCT_PARTS[r, s] = r xor s.
@@ -91,20 +99,25 @@ class Quaternion:
         return float(np.sqrt(self.a**2 + self.b**2 + self.c**2 + self.d**2))
 
     def to_block(self) -> np.ndarray:
-        """2x2 complex representation [[a-id, ib+c], [ib-c, a+id]] (`block_form`).
+        """2x2 complex representation [[a-id, ib+c], [ib-c, a+id]] (`complex_form` at beta = 4).
 
         This is a ring homomorphism: (p*q).to_block() == p.to_block() @
         q.to_block(), and conjugation maps to the conjugate transpose.
         """
-        return block_form(np.reshape(astuple(self), (4, 1, 1)))
+        return complex_form(np.reshape(astuple(self), (4, 1, 1)))
 
 
-def block_form(parts: np.ndarray) -> np.ndarray:
-    """The complex form (..., 2n, 2n) of quaternion matrices given as parts (4, ..., n, n).
+def complex_form(parts: np.ndarray) -> np.ndarray:
+    """Matrices over the beta number system given as parts (beta, ..., n, n), as complex matrices.
 
-    Entry (i, j) = a + ib + jc + kd becomes the 2x2 block
+    The inverse of `entry_parts`, with beta = len(parts).  beta = 1 gives
+    the real matrices parts[0] and beta = 2 the complex matrices
+    parts[0] + i*parts[1], both (..., n, n).  beta = 4 gives (..., 2n, 2n):
+    entry (i, j) = a + ib + jc + kd becomes the 2x2 block
     [[a-id, ib+c], [ib-c, a+id]] at rows 2i, 2i+1 and columns 2j, 2j+1.
     """
+    if len(parts) < 4:
+        return parts[0] if len(parts) == 1 else parts[0] + 1j * parts[1]
     a, b, c, d = parts
     blocks = np.array([[a - 1j * d, 1j * b + c], [1j * b - c, a + 1j * d]])
     # (2, 2, ..., n, n) -> (..., n, 2, n, 2) -> (..., 2n, 2n)
@@ -136,30 +149,20 @@ def run_signed(init, program, term, out: np.ndarray) -> np.ndarray:
 _PRODUCT_PROGRAMS = tuple(signed_program(row) for row in PRODUCT_SIGNS)
 
 
-def entry_parts(beta: int, matrices: np.ndarray, name: str) -> np.ndarray:
-    """The entries of a stack of matrices over the beta number system, as (beta, m, n, n) real parts.
+def entry_parts(beta: int, matrices: np.ndarray) -> np.ndarray:
+    """The entries of matrices (..., n, n) over the beta number system, as real parts (beta, ..., n, n).
 
-    beta = 1 reads the real parts and beta = 2 the real and imaginary parts
-    of (m, n, n) complex matrices.  beta = 4 reads a quaternion
-    a + ib + jc + kd off each 2x2 block [[a - id, ib + c], [ib - c, a + id]]
-    of (m, 2n, 2n) complex matrices, the inverse of `block_form`:
-    a = Re B00, b = Im B01, c = Re B01, d = -Im B00.  Raises ValueError
-    starting with name if a beta = 1 matrix has an imaginary part or a
-    beta = 4 block is not of that form.
+    The inverse of `complex_form` on its image.  beta = 1 reads the real
+    parts and beta = 2 the real and imaginary parts of complex matrices.
+    beta = 4 reads a quaternion a + ib + jc + kd off each 2x2 block
+    [[a - id, ib + c], [ib - c, a + id]] of (..., 2n, 2n) complex matrices:
+    a = Re B00, b = Im B01, c = Re B01, d = -Im B00.  Any other part of a
+    matrix is not read; `complex_form` of the result shows what was read.
     """
-    if beta == 1:
-        if np.any(matrices.imag):
-            raise ValueError(f"{name}: a generator has a nonzero imaginary part; "
-                             "the real kernel cannot represent it")
-        return matrices.real[None]
-    if beta == 2:
-        return np.stack([matrices.real, matrices.imag])
-    b00, b01 = matrices[:, 0::2, 0::2], matrices[:, 0::2, 1::2]
-    parts = np.stack([b00.real, b01.imag, b01.real, -b00.imag])
-    if not np.array_equal(block_form(parts), matrices):
-        raise ValueError(f"{name}: a 2x2 block of a generator is not of the quaternion "
-                         "form [[a-id, ib+c], [ib-c, a+id]]")
-    return parts
+    if beta < 4:
+        return np.stack([matrices.real, matrices.imag][:beta])
+    b00, b01 = matrices[..., 0::2, 0::2], matrices[..., 0::2, 1::2]
+    return np.stack([b00.real, b01.imag, b01.real, -b00.imag])
 
 
 def mul_conj(x: np.ndarray, y: np.ndarray) -> np.ndarray:

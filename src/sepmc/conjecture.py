@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -62,11 +63,13 @@ def f_term(alpha: float) -> float:
     Positive until it underflows to 0.0 near alpha = 858.  From
     _TERM_ZERO_FROM on it returns 0.0 unevaluated, so it stays finite where
     q_poly (alpha about 1e61) and lgamma (about 1e305) would overflow.
-    Raises for alpha < 0, where the gamma arguments can hit poles, and for a
-    NaN or infinite alpha.
+    alpha is a real number, not a bool; raises ValueError naming alpha for
+    anything else, for alpha < 0, where the gamma arguments can hit poles,
+    and for a NaN or infinite alpha.
     """
-    if not (math.isfinite(alpha) and alpha >= 0):
-        raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
+    real = isinstance(alpha, numbers.Real) and not isinstance(alpha, bool)
+    if not (real and 0 <= alpha <= sys.float_info.max):
+        raise ValueError(f"alpha must be finite and >= 0, got {alpha!r}")
     if alpha >= _TERM_ZERO_FROM:
         return 0.0
     log_term = (

@@ -57,7 +57,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import abs_squared, entry_parts, mul_conj, run_signed, signed_program
+from .algebra import abs_squared, complex_form, entry_parts, mul_conj, run_signed, signed_program
 from .states import POSITIVITY_TOL, as_coefficients, get_case, pt_sign_vector
 
 # perfbench records this in its report manifest; only a benchmark change can remove it.
@@ -96,23 +96,21 @@ def case_tables(tag: str):
     (subsystem B): the coefficient signs of `states.pt_sign_vector` folded
     into every entry.
 
-    Raises ValueError naming the family if its nonzero coefficients do not
-    share one magnitude, or if a generator is not a matrix over its number
-    system.
+    kappa is the magnitude of the first nonzero part.  Raises one
+    ValueError, naming the family and the first generator that fails, unless
+    `algebra.complex_form` of kappa * signs gives back the basis exactly:
+    kappa * (+-1) is exact, so equality means that every generator is a
+    matrix over the number system whose nonzero parts are all +-kappa.
     """
     case = get_case(tag)
     basis = case.basis
-    parts = entry_parts(case.beta, basis, tag)
-    magnitudes = np.abs(parts[parts != 0])
-    kappa = float(magnitudes[0])
-    if np.any(magnitudes != kappa):
-        # np.unique stays on this path: its first call in a process takes
-        # longer than building the tables, and every worker builds them
-        raise ValueError(
-            f"{tag}: nonzero generator coefficients take the magnitudes "
-            f"{np.unique(magnitudes).tolist()}; the kernel needs one"
-        )
+    parts = entry_parts(case.beta, basis)
+    kappa = float(np.abs(parts[parts != 0][0]))
     signs = np.sign(parts).astype(np.int8)
+    wrong = np.any(complex_form(kappa * signs) != basis, axis=(-2, -1))
+    if wrong.any():
+        raise ValueError(f"{tag}: generator {np.argmax(wrong)} is not kappa = {kappa!r} times a "
+                         f"sign matrix over the beta = {case.beta} number system")
     pt = np.asarray(pt_sign_vector(tag), dtype=np.int8)
     pt_signs = signs * pt[None, :, None, None]
     init = 1.0 / basis.shape[-1]

@@ -128,7 +128,8 @@ def sample_ball(dim: int, radius: float, stream, count: int) -> np.ndarray:
 
     ``stream`` is a StreamSpec (the draw sequence then restarts at the
     stream origin) or an np.random.Generator (draws continue from its
-    current state, for callers accumulating statistics over many calls).
+    current state, for callers accumulating statistics over many calls);
+    any other stream raises ValueError naming stream, whatever the count.
     ``radius`` is a real number, finite and > 0, not a bool; anything else
     raises ValueError naming radius.  Returns an array of shape
     (count, dim) with every row norm <= radius.
@@ -138,6 +139,8 @@ def sample_ball(dim: int, radius: float, stream, count: int) -> np.ndarray:
     if not (real and 0 < radius <= sys.float_info.max):
         raise ValueError(f"radius must be a finite real number > 0, got {radius!r}")
     integer_in(count, "count")
+    if not isinstance(stream, (StreamSpec, np.random.Generator)):
+        raise ValueError(f"stream must be a StreamSpec or an np.random.Generator, got {stream!r}")
     rng = stream.generator() if isinstance(stream, StreamSpec) else stream
     out = np.empty((count, dim))
     for lo, pts in zip(range(0, count, DRAW_BATCH), ball_batches(dim, radius, rng, count)):

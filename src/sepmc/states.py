@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import algebra
-from .algebra import block_form, generator_basis, min_eigenvalue
+from .algebra import complex_form, generator_basis, min_eigenvalue
 
 # A state counts as positive when the smallest eigenvalue of its density
 # matrix is >= -POSITIVITY_TOL.  The boundary has measure zero under the
@@ -208,7 +208,7 @@ def blocks_to_matrix(b: QuaterbitBlocks) -> np.ndarray:
     parts[0, range(4), range(4)] = b.A, b.B, b.C, b.D
     parts[:, rows, cols] = np.transpose([astuple(q) for q in b.q])
     parts[:, cols, rows] = np.transpose([astuple(q.conjugate()) for q in b.q])
-    return block_form(parts)
+    return complex_form(parts)
 
 
 def quaterbit_from_blocks(b: QuaterbitBlocks) -> CoeffVector:

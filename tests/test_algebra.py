@@ -8,6 +8,7 @@ from sepmc.algebra import (
     PRODUCT_SIGNS,
     Quaternion,
     abs_squared,
+    complex_form,
     entry_parts,
     generator_basis,
     generator_matrix,
@@ -218,13 +219,25 @@ class TestNumberSystems:
                 for j in range(n):
                     q = Quaternion(*parts[:, a, i, j])
                     blocks[a, 2 * i:2 * i + 2, 2 * j:2 * j + 2] = q.to_block()
-        assert np.array_equal(entry_parts(4, blocks, "test"), parts)
+        assert np.array_equal(entry_parts(4, blocks), parts)
+        # the map back is the block form of Quaternion.to_block, and the pair
+        # are inverses, on random parts and on the quaterbit basis
+        assert np.array_equal(complex_form(parts), blocks)
+        assert np.array_equal(entry_parts(4, complex_form(parts)), parts)
+        basis = CASES["quaterbit"].basis
+        assert np.array_equal(complex_form(entry_parts(4, basis)), basis)
 
     def test_entry_parts_recovers_complex_and_real_parts(self):
         rng = np.random.default_rng(24)
         re, im = rng.standard_normal((2, 3, 4, 4))
-        assert np.array_equal(entry_parts(2, re + 1j * im, "test"), np.stack([re, im]))
-        assert np.array_equal(entry_parts(1, re + 0j, "test"), re[None])
+        for beta, parts, matrices in ((2, np.stack([re, im]), re + 1j * im),
+                                      (1, re[None], re + 0j)):
+            assert np.array_equal(entry_parts(beta, matrices), parts)
+            assert np.array_equal(complex_form(parts), matrices)
+            assert np.array_equal(entry_parts(beta, complex_form(parts)), parts)
+        for tag in ("qubit", "rebit"):
+            basis = CASES[tag].basis
+            assert np.array_equal(complex_form(entry_parts(CASES[tag].beta, basis)), basis)
 
 
 class TestLabels:

@@ -65,8 +65,9 @@ class TestTerm:
             assert f_term(a) == pytest.approx(f_term_direct(a), rel=1e-10)
 
     def test_negative_alpha_rejected(self):
-        for alpha in (-0.25, math.nan, math.inf):
-            with pytest.raises(ValueError, match="alpha"):
+        # a bool is not read as 0 or 1, nor anything else that is not one real number
+        for alpha in (-0.25, math.nan, math.inf, True, False, "1", 1j, None, np.array([1.0])):
+            with pytest.raises(ValueError, match="alpha must be finite and >= 0"):
                 f_term(alpha)
 
     def test_ratio_limit(self):
@@ -114,8 +115,8 @@ class TestSeries:
         assert abs(res.value - 8 / 33) < 1e-6
 
     def test_domain_validation(self):
-        for alpha in (-1.0, math.nan, math.inf):
-            with pytest.raises(ValueError, match="alpha"):
+        for alpha in (-1.0, math.nan, math.inf, True, False, "1", 1j, None, np.array([1.0])):
+            with pytest.raises(ValueError, match="alpha must be finite and >= 0"):
                 p_of_alpha(alpha)
         with pytest.raises(ValueError, match="rel_tol"):
             p_of_alpha(1.0, 0.0)

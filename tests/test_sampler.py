@@ -86,6 +86,11 @@ class TestSampleBall:
                 sample_ball(3, radius, s, 10)
         with pytest.raises(ValueError, match="count"):
             sample_ball(3, 1.0, s, -1)
+        # a stream is a StreamSpec or a Generator, checked even when nothing is drawn
+        for stream in (5, None, "seed"):
+            for count in (10, 0):
+                with pytest.raises(ValueError, match="stream"):
+                    sample_ball(3, 1.0, stream, count)
 
     def test_dim_and_count_must_be_integers(self):
         rng = np.random.default_rng(0)
