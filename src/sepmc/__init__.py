@@ -8,9 +8,12 @@ conjectured closed-form series value.
 The package root holds only `__version__`; every other name is imported
 from its module, so importing one module loads only what it needs:
 
-- `sepmc.algebra`: quaternions and the number systems (entry storage, the
-  product table, `mul_conj`), Pauli-tensor generator bases of given
-  labels, Hermitian checks and `min_eigenvalue`; no state families.
+- `sepmc.algebra`: quaternions and the number systems (the map pair
+  `entry_parts`/`complex_form` between matrices and their beta real
+  parts, the product table, `mul_conj` and `abs_squared`), the one
+  signed-sum program form (`signed_program`, `run_signed`), Pauli-tensor
+  generator bases of given labels, Hermitian checks and `min_eigenvalue`;
+  no state families.
 - `sepmc.states`: the one definition of the three families (`REBIT`,
   `QUBIT`, `QUATERBIT` with their generator labels, `get_case`),
   `CoeffVector`, coefficient/density maps, quaternion block assembly, and

@@ -14,9 +14,10 @@ for quaterbit (beta = 4).  One map pair states how an entry is stored:
 `complex_form` maps parts back to real, complex or, for beta = 4, 2x2
 block complex matrices.  On matrices over the number system the two are
 exact inverses, because each only moves parts, negates them and takes
-products with 0, 1 and i.  So an exact comparison of `complex_form` of
-kappa * signs with a basis is the right table check: kappa * (+-1) is
-exact, and any difference is a generator that is not kappa times signs.
+products with 0, 1 and i (a zero may change sign, which == does not see).
+So an exact comparison of `complex_form` of kappa * signs with a basis is
+the right table check: kappa * (+-1) is exact, and any difference is a
+generator that is not kappa times signs.
 A quaterbit's 8x8 complex rho is the block form of a 4x4 quaternion
 matrix Q, and rho + tol*I_8 is the block form of Q + tol*I_4, so
 factoring Q decides the same question as factoring rho without computing

@@ -21,12 +21,15 @@ every per-lane quantity a contiguous float64 row.  The factor L has shape
 
 Assembly.  `case_tables`, the one table builder, reads off the family's
 basis which rows of Y enter each part of each entry of rho and with which
-sign, and compiles every part into one signed-sum program
-(`algebra.signed_program`): from 1/d on the diagonal and from 0 below it,
-one row of Y per generator in increasing generator index.  The partial
-transpose gets its own tables with the signs of `states.pt_sign_vector`
-folded in, so the PPT pass scores the positive lanes' rows of Y as they
-are, with no sign-flipped copy.
+sign.  It checks once that `algebra.complex_form` of kappa times those
+signs gives back the basis exactly, the one assumption the tables rest
+on, and raises one ValueError naming the family otherwise.  It compiles
+every part into one signed-sum program (`algebra.signed_program`): from
+1/d on the diagonal and from 0 below it, one row of Y per generator in
+increasing generator index.  The partial transpose gets its own tables
+with the signs of `states.pt_sign_vector` folded in, so the PPT pass
+scores the positive lanes' rows of Y as they are, with no sign-flipped
+copy.
 
 Lazy, compacting factorization.  The factorization is left-looking: column
 j's diagonal pivot is assembled and reduced first, the lanes whose pivot is
