@@ -19,14 +19,14 @@ from its module, so importing one module loads only what it needs:
   `CoeffVector`, coefficient/density maps, quaternion block assembly, and
   the eigenvalue-route positivity and PPT tests.
 - `sepmc.sampler`: seeded streams (`StreamSpec`; `derive_stream` is a
-  second name for it, kept for perfbench), the integer rule `integer_in`,
-  and uniform ball sampling.
+  second name for it, kept for perfbench), the run-value rules
+  `integer_in` and `real_in`, and uniform ball sampling.
 - `sepmc.kernels`: the counting kernel `count_tallies` and its table
   builder `case_tables`.
 - `sepmc.engine`: the chunked estimator `estimate`, the chunk stream
   `chunk_tallies` (the one place that knows about processes), `run_chunk`,
-  tallies, checkpoints, and `check_path`, the one rule for a path a run
-  will write.
+  tallies, checkpoints, `file_path`, the one rule for what names a file,
+  and `check_path`, the one rule for a path a run will write.
 - `sepmc.conjecture`: the conjectured series `p_of_alpha`.
 - `sepmc.selftest`: the invariant battery `CHECKS` behind `sepmc selftest`.
 - `sepmc.cli`: the `sepmc` command line.

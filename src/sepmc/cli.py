@@ -4,13 +4,14 @@ Exit codes: 0 success, 1 usage error, 2 numeric or internal failure, 130
 interrupted (Ctrl-C, or SIGTERM, which `main` turns into KeyboardInterrupt
 while it runs; Python lets only the main thread set that handler, so
 called from another thread `main` leaves the signal handlers as they
-are).  Each flag is checked by its argparse type (an integer flag by the
-library's own rule for the argument it feeds, `sampler.integer_in`) and
-`main` alone maps exceptions to exit codes, so every error is one stderr
-line naming the flag, path or field.  An `estimate` flag's dest is the
-name of the `engine.estimate` parameter it sets, so `cmd_estimate` passes
-those through by name; each subcommand names its handler by
-`set_defaults(handler=...)`.  `selftest` runs `selftest.CHECKS` in order,
+are).  Each flag is checked by its argparse type, made by `_flag` from
+the library's own rule for the argument it feeds: `sampler.integer_in`
+for an integer flag, `sampler.real_in` for `--alpha` and `--rel-tol`,
+`engine.file_path` for a path.  `main` alone maps exceptions to exit
+codes, so every error is one stderr line naming the flag, path or field.
+An `estimate` flag's dest is the name of the `engine.estimate` parameter
+it sets, so `cmd_estimate` passes those through by name; each subcommand
+names its handler by `set_defaults(handler=...)`.  `selftest` runs `selftest.CHECKS` in order,
 one line per check, and counts a check that raises as failed.  Result
 documents are JSON with a fixed, versioned field order so runs can be
 diffed; every numeric field except wall_time_s is reproducible from the
@@ -38,16 +39,17 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict
 
 from . import __version__
-from .conjecture import MIN_REL_TOL, p_of_alpha
+from .conjecture import MAX_REL_TOL, MIN_REL_TOL, p_of_alpha
 from .engine import (
     DEFAULT_CHUNK_SIZE,
     CheckpointError,
     NoPositiveSamplesError,
     check_path,
     estimate,
+    file_path,
     write_text,
 )
-from .sampler import SEED_LIMIT, integer_in
+from .sampler import SEED_LIMIT, integer_in, real_in
 from .selftest import CHECKS
 from .states import CASES
 
@@ -73,29 +75,27 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _integer(name: str, low: int = 0, high: int = None):
-    """argparse type: the library's integer rule for its argument `name`."""
-    def parse(text: str) -> int:
+def _flag(rule, name: str, *bounds):
+    """argparse type: the library's rule for its argument `name`, applied to the flag's text.
+
+    `integer_in` gets the text read as an int and `real_in` read as a
+    float, or the text itself where it does not read so, for the rule to
+    refuse; `engine.file_path` gets the text itself.
+    """
+    def parse(text: str):
         try:
-            value = int(text)
+            value = {integer_in: int, real_in: float}.get(rule, str)(text)
         except ValueError:
-            value = text  # refused by the rule as not an integer
+            value = text  # refused by the rule as not a number
         try:
-            return integer_in(value, name, low, high)
+            return rule(value, name, *bounds)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
     return parse
 
 
 def _workers(text: str):
-    return None if text == "auto" else _integer("workers", 1)(text)
-
-
-def _path(text: str) -> str:
-    """argparse type: a file path, which the empty string is not."""
-    if not text:
-        raise argparse.ArgumentTypeError("must name a file, got ''")
-    return text
+    return None if text == "auto" else _flag(integer_in, "workers", 1)(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -113,24 +113,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     est = sub.add_parser("estimate", help="run the Monte Carlo estimator")
     est.add_argument("--case", required=True, choices=sorted(CASES))
-    est.add_argument("--samples", dest="n_total", type=_integer("n_total", 1), required=True,
-                     metavar="SAMPLES", help="total ball samples")
-    est.add_argument("--seed", type=_integer("seed", 0, SEED_LIMIT), default=0)
+    est.add_argument("--samples", dest="n_total", type=_flag(integer_in, "n_total", 1),
+                     required=True, metavar="SAMPLES", help="total ball samples")
+    est.add_argument("--seed", type=_flag(integer_in, "seed", 0, SEED_LIMIT), default=0)
     est.add_argument("--workers", type=_workers, default=None,
                      help="worker processes, or 'auto' (default): the usable CPUs")
-    est.add_argument("--chunk-size", type=_integer("chunk_size", 1), default=DEFAULT_CHUNK_SIZE)
-    est.add_argument("--checkpoint", dest="checkpoint_path", type=_path, default=None,
-                     metavar="PATH", help="checkpoint file to write and resume from")
-    est.add_argument("--checkpoint-every", type=_integer("checkpoint_every"), default=1,
+    est.add_argument("--chunk-size", type=_flag(integer_in, "chunk_size", 1),
+                     default=DEFAULT_CHUNK_SIZE)
+    est.add_argument("--checkpoint", dest="checkpoint_path", type=_flag(file_path, "checkpoint_path"),
+                     default=None, metavar="PATH", help="checkpoint file to write and resume from")
+    est.add_argument("--checkpoint-every", type=_flag(integer_in, "checkpoint_every"), default=1,
                      metavar="K", help="checkpoint every K completed chunks (0: never write)")
-    est.add_argument("--out", type=_path, default=None, metavar="PATH",
+    est.add_argument("--out", type=_flag(file_path, "out"), default=None, metavar="PATH",
                      help="also write the result document to PATH")
     est.set_defaults(handler=cmd_estimate)
 
     conj = sub.add_parser("conjecture", help="evaluate the conjectured series value")
-    conj.add_argument("--alpha", type=float, required=True)
-    conj.add_argument("--rel-tol", type=float, default=MIN_REL_TOL)
-    conj.add_argument("--out", type=_path, default=None, metavar="PATH")
+    conj.add_argument("--alpha", type=_flag(real_in, "alpha", 0.0), required=True)
+    conj.add_argument("--rel-tol", type=_flag(real_in, "rel_tol", MIN_REL_TOL, MAX_REL_TOL),
+                      default=MIN_REL_TOL)
+    conj.add_argument("--out", type=_flag(file_path, "out"), default=None, metavar="PATH")
     conj.set_defaults(handler=cmd_conjecture)
 
     sub.add_parser("selftest", help="run the invariant battery").set_defaults(handler=cmd_selftest)

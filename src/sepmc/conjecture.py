@@ -22,9 +22,10 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 import sys
 from dataclasses import dataclass
+
+from .sampler import real_in
 
 # poly coefficients, ascending order
 _POLY = (63000.0, 410694.0, 1042015.0, 1289125.0, 779750.0, 185000.0)
@@ -63,13 +64,11 @@ def f_term(alpha: float) -> float:
     Positive until it underflows to 0.0 near alpha = 858.  From
     _TERM_ZERO_FROM on it returns 0.0 unevaluated, so it stays finite where
     q_poly (alpha about 1e61) and lgamma (about 1e305) would overflow.
-    alpha is a real number, not a bool; raises ValueError naming alpha for
-    anything else, for alpha < 0, where the gamma arguments can hit poles,
-    and for a NaN or infinite alpha.
+    alpha is a real number >= 0 by the real rule `sampler.real_in` (below 0
+    the gamma arguments can hit poles); anything else raises ValueError
+    naming alpha.
     """
-    real = isinstance(alpha, numbers.Real) and not isinstance(alpha, bool)
-    if not (real and 0 <= alpha <= sys.float_info.max):
-        raise ValueError(f"alpha must be finite and >= 0, got {alpha!r}")
+    alpha = real_in(alpha, "alpha", 0.0)
     if alpha >= _TERM_ZERO_FROM:
         return 0.0
     log_term = (
@@ -100,15 +99,15 @@ def p_of_alpha(alpha: float, rel_tol: float = MIN_REL_TOL) -> SeriesResult:
     Partial sums increase monotonically.  After a term t the tail is below
     t * q/(1-q) with q = RATIO_LIMIT = 27/64, the proven bound on every term
     ratio; the returned tail_bound is that bound and satisfies
-    tail_bound <= rel_tol * value.  Raises ArithmeticError naming alpha when
-    the first term is not a finite normal double (alpha from about 816 up),
-    since a subnormal sum carries only a few significant digits.
+    tail_bound <= rel_tol * value.  alpha is checked by `f_term`, and
+    rel_tol is a real number in [MIN_REL_TOL, MAX_REL_TOL] by the real rule
+    `sampler.real_in`; each raises ValueError naming itself.  Raises
+    ArithmeticError naming alpha when the first term is not a finite normal
+    double (alpha from about 816 up), since a subnormal sum carries only a
+    few significant digits.
     """
     term = f_term(alpha)  # raises ValueError for a bad alpha, before rel_tol is checked
-    if not (MIN_REL_TOL <= rel_tol <= MAX_REL_TOL):
-        raise ValueError(
-            f"rel_tol must lie in [{MIN_REL_TOL:g}, {MAX_REL_TOL:g}], got {rel_tol}"
-        )
+    rel_tol = real_in(rel_tol, "rel_tol", MIN_REL_TOL, MAX_REL_TOL)
     total = 0.0
     if not sys.float_info.min <= term <= sys.float_info.max:
         raise ArithmeticError(

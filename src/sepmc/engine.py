@@ -155,6 +155,22 @@ def write_text(path, text: str) -> None:
         raise
 
 
+def file_path(path, name: str = "checkpoint_path") -> str:
+    """path as a str if it names a file; else ValueError naming name.
+
+    The one rule for what names a file, checked before anything is opened:
+    a non-empty str, or an os.PathLike whose os.fspath is one.  An int is
+    refused, so an open descriptor's number is never read or closed, and so
+    is bytes, which would otherwise reach a save as the name "b'...'.tmp".
+    The checkpoint functions and `estimate` leave name at its default; the
+    CLI names its flag's dest.
+    """
+    text = os.fspath(path) if isinstance(path, os.PathLike) else path
+    if not (isinstance(text, str) and text):
+        raise ValueError(f"{name} must name a file, got {path!r}")
+    return text
+
+
 def check_path(path) -> None:
     """Raise the OSError, naming path, that a write to path would meet first.
 
@@ -181,13 +197,14 @@ def checkpoint_save(state: Checkpoint, path) -> None:
     A symlink is followed: the text goes to its target's PATH.tmp, which is
     renamed over the target, so the link stays and checkpoint_load reads
     what was saved.  Raises CheckpointError, before anything is written,
-    for a state that checkpoint_load would refuse to read back.
+    for a state that checkpoint_load would refuse to read back, and
+    ValueError for a path that `file_path` refuses.
     """
     *run, counts = astuple(state)
     text = "".join(f"{key} {value}\n" for key, value in
                    zip(_CHECKPOINT_FIELDS, (CHECKPOINT_VERSION, *run, *counts), strict=True))
     _parse(text.encode())
-    target = os.path.realpath(path)
+    target = os.path.realpath(file_path(path))
     write_text(f"{target}.tmp", text)
     os.replace(f"{target}.tmp", target)
 
@@ -196,10 +213,11 @@ def checkpoint_load(path) -> Checkpoint:
     """Parse a checkpoint file, raising CheckpointError naming any bad field.
 
     Only a regular file of at most CHECKPOINT_MAX_BYTES is read; a device,
-    FIFO or directory, or a larger file, is refused.
+    FIFO or directory, or a larger file, is refused, and a path that
+    `file_path` refuses raises ValueError before anything is opened.
     """
     # O_NONBLOCK: opening a FIFO must not wait for a writer
-    with open(path, "rb", opener=lambda p, flags: os.open(p, flags | os.O_NONBLOCK)) as fh:
+    with open(file_path(path), "rb", opener=lambda p, f: os.open(p, f | os.O_NONBLOCK)) as fh:
         if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
             raise CheckpointError("not a regular file")
         return _parse(fh.read(CHECKPOINT_MAX_BYTES + 1))
@@ -314,8 +332,9 @@ def estimate(
     checkpoints; only wall time varies.  With checkpoint_path the run
     resumes from that file if it exists and rewrites it after every
     checkpoint_every completed chunks and after the last one (0: never
-    write).  A path that cannot be opened, other than a missing
-    file in an existing directory (`check_path`), raises OSError before the
+    write).  A checkpoint_path that `file_path` refuses raises ValueError,
+    and one that cannot be opened, other than a missing file in an
+    existing directory (`check_path`), raises OSError, both before the
     first chunk.  The chunks come from `chunk_tallies`, the one place that
     knows about processes, and a checkpoint always describes an exact
     prefix of the chunk sequence.  A run that stops early, by an exception
@@ -332,8 +351,6 @@ def estimate(
         integer_in(workers, "workers", 1)
     integer_in(checkpoint_every, "checkpoint_every")
     seed = integer_in(seed, "seed", 0, SEED_LIMIT)
-    if checkpoint_path == "":
-        raise ValueError("checkpoint_path must name a file, got ''")
 
     t_start = time.perf_counter()
     n_chunks = -(-n_total // chunk_size)

@@ -24,16 +24,20 @@ normals first and then its radial uniforms.  That layout pins the
 byte-exact output, so `sample_ball` and the engine's chunks both iterate
 it, and a chunk's tally depends only on its stream and size.
 
-Integer run values
-------------------
-`integer_in` is the one rule for every integer a run takes, wherever it
-comes in: the stream ids here, `sample_ball`'s dim and count, the engine's
-arguments and checkpoint fields, and the CLI flags.  An integer is what
+Run values
+----------
+`integer_in` and `real_in` are the two rules for every number a run
+takes, wherever it comes in: the stream ids here, `sample_ball`'s dim,
+count and radius, the engine's arguments and checkpoint fields, the
+series' alpha and rel_tol, and the CLI flags.  An integer is what
 ``operator.index`` accepts (a Python or numpy integer) except a ``bool``:
-2.5, "3" and True are refused, never read as 2, 3 or 1.  An accepted value
-comes back as a Python int, so a numpy integer never reaches a tally or a
-result document.  A refused value raises ValueError naming the argument,
-its range and the value.
+2.5, "3" and True are refused, never read as 2, 3 or 1.  It comes back as
+a Python int in [low, high), so a numpy integer never reaches a tally or
+a result document.  A real is what ``numbers.Real`` accepts except a
+``bool``, in [low, high] with high at most the largest float, so NaN,
++-inf and an int beyond the float range are refused, as are "1.0", a
+complex number and an array.  It comes back as a Python float.  A refused
+value raises ValueError naming the argument, its range and the value.
 """
 
 from __future__ import annotations
@@ -64,6 +68,14 @@ def integer_in(value, name: str, low: int = 0, high: int = None):
                 else "a non-negative integer" if low == 0 else f"an integer >= {low}")
         raise ValueError(f"{name} must be {kind}, got {value!r}")
     return index
+
+
+def real_in(value, name: str, low: float, high: float = sys.float_info.max):
+    """value as a float if it is a real number in [low, high]; else ValueError naming name."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Real) and low <= value <= high):
+        kind = f">= {low!r}" if high == sys.float_info.max else f"in [{low!r}, {high!r}]"
+        raise ValueError(f"{name} must be finite and {kind}, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -130,14 +142,13 @@ def sample_ball(dim: int, radius: float, stream, count: int) -> np.ndarray:
     stream origin) or an np.random.Generator (draws continue from its
     current state, for callers accumulating statistics over many calls);
     any other stream raises ValueError naming stream, whatever the count.
-    ``radius`` is a real number, finite and > 0, not a bool; anything else
-    raises ValueError naming radius.  Returns an array of shape
+    ``radius`` is a positive real number by the real rule `real_in`, with
+    the smallest positive float as its lower bound; anything else raises
+    ValueError naming radius.  Returns an array of shape
     (count, dim) with every row norm <= radius.
     """
     integer_in(dim, "dim", 1)
-    real = isinstance(radius, numbers.Real) and not isinstance(radius, bool)
-    if not (real and 0 < radius <= sys.float_info.max):
-        raise ValueError(f"radius must be a finite real number > 0, got {radius!r}")
+    radius = real_in(radius, "radius", 2.0**-1074)  # the smallest positive float
     integer_in(count, "count")
     if not isinstance(stream, (StreamSpec, np.random.Generator)):
         raise ValueError(f"stream must be a StreamSpec or an np.random.Generator, got {stream!r}")

@@ -1,5 +1,6 @@
 import errno
 import json
+import math
 import os
 import signal
 import subprocess
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 import sepmc.states as states
 from sepmc import __version__, cli, engine, selftest
+from sepmc.conjecture import MAX_REL_TOL, MIN_REL_TOL, f_term, p_of_alpha
 from sepmc.engine import (
     Checkpoint,
     CheckpointError,
@@ -421,8 +423,10 @@ class TestEstimateBadInput:
 
     @pytest.mark.parametrize("alpha", ["nan", "inf"])
     def test_non_finite_alpha(self, capsys, alpha):
+        # refused as the flag is parsed, by a line that names the flag
         code, out, err = run_cli(capsys, "conjecture", "--alpha", alpha)
         self.assert_usage_error(code, out, err, "alpha", command="conjecture")
+        assert err.startswith("sepmc conjecture: error: argument --alpha: ")
 
 
 class TestIntegerRuleAgreement:
@@ -475,6 +479,37 @@ class TestIntegerRuleAgreement:
                         checkpoint_load(path)
                 else:
                     assert getattr(checkpoint_load(path), param) == value
+
+
+class TestRealRuleAgreement:
+    """The CLI and the series refuse exactly the same real values of alpha and rel_tol."""
+
+    @pytest.mark.parametrize("flag, call, low, high", [
+        ("--alpha", lambda v: f_term(v), 0.0, sys.float_info.max),
+        ("--alpha", lambda v: p_of_alpha(v), 0.0, sys.float_info.max),
+        ("--rel-tol", lambda v: p_of_alpha(1.0, v), MIN_REL_TOL, MAX_REL_TOL),
+    ], ids=["alpha-f_term", "alpha-p_of_alpha", "rel_tol-p_of_alpha"])
+    def test_cli_and_library_agree(self, capsys, flag, call, low, high):
+        name = flag[2:].replace("-", "_")
+        # the last two are the floats just outside [low, high]; above the largest float is inf
+        refused = (math.nan, math.inf, -math.inf, -1, 10**400,
+                   math.nextafter(low, -math.inf), math.nextafter(high, math.inf))
+        for value in (*refused, low, high):
+            try:
+                call(value)
+            except ValueError as exc:
+                assert value in refused and str(exc).startswith(f"{name} must be "), value
+            except ArithmeticError:  # alpha = high: the first term underflows, after the rule
+                assert value not in refused, value
+            else:
+                assert value not in refused, value
+            argv = ["conjecture", f"{flag}={value!r}"] + (["--alpha=1"] if name == "rel_tol" else [])
+            code, out, err = run_cli(capsys, *argv)
+            if value in refused:
+                assert code == 1 and out == "" and err.count("\n") == 1, value
+                assert err.startswith(f"sepmc conjecture: error: argument {flag}: {name} "), err
+            else:
+                assert f"argument {flag}" not in err and code != 1, (value, err)
 
 
 @settings(max_examples=40, deadline=None,

@@ -124,6 +124,11 @@ class TestSeries:
             p_of_alpha(1.0, 2 * MAX_REL_TOL)
         with pytest.raises(ValueError, match="rel_tol"):
             p_of_alpha(1.0, MIN_REL_TOL / 10)
+        # not one real number: refused by name, never compared or read as its element
+        for rel_tol in ("1e-12", None, [1e-12], 1e-12 + 0j, np.array([1e-12]), True,
+                        math.nan, 10**400):
+            with pytest.raises(ValueError, match="^rel_tol must be finite and in "):
+                p_of_alpha(1.0, rel_tol)
         # the boundaries themselves are fine
         p_of_alpha(1.0, MIN_REL_TOL)
         p_of_alpha(1.0, MAX_REL_TOL)

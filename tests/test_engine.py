@@ -356,23 +356,25 @@ class TestCaseTables:
                 want = np.tril(coeffs_to_density(CoeffVector(case, row)))
                 np.testing.assert_allclose(rho[..., r], want, atol=1e-15)
 
-    @pytest.mark.parametrize("tag, doctor", [
-        ("qubit", lambda b: b.__setitem__(0, 2 * b[0])),
+    @pytest.mark.parametrize("tag, doctor, generator", [
+        # generator 0 doubled is the one blamed, not the next one to carry kappa
+        ("qubit", lambda b: b.__setitem__(0, 2 * b[0]), 0),
         # a Hermitian generator with an imaginary part has no real form
-        ("rebit", lambda b: (b[0].__setitem__((0, 1), 0.5j), b[0].__setitem__((1, 0), -0.5j))),
+        ("rebit", lambda b: (b[0].__setitem__((0, 1), 0.5j), b[0].__setitem__((1, 0), -0.5j)),
+         0),
         # diag(1, -1) is not a diagonal quaternion block a*I
-        ("quaterbit", lambda b: b[0].__setitem__((1, 1), -b[0][1, 1])),
+        ("quaterbit", lambda b: b[0].__setitem__((1, 1), -b[0][1, 1]), 0),
         # a lower block [[0, kappa], [0, 0]]: Hermitian, but B10 != -conj(B01)
         ("quaterbit", lambda b: (b[3].__setitem__((2, 1), b[3][0, 2]),
-                                 b[3].__setitem__((1, 2), b[3][0, 2]))),
+                                 b[3].__setitem__((1, 2), b[3][0, 2])), 3),
     ], ids=["two-magnitudes", "rebit-imaginary-part", "quaterbit-diagonal-block",
             "quaterbit-lower-block"])
-    def test_unassemblable_basis_rejected(self, monkeypatch, tag, doctor):
+    def test_unassemblable_basis_rejected(self, monkeypatch, tag, doctor, generator):
         basis = CASES[tag].basis.copy()
         doctor(basis)
         monkeypatch.setattr(kernels, "get_case",
                             lambda tag: SimpleNamespace(basis=basis, beta=CASES[tag].beta))
-        with pytest.raises(ValueError, match=f"{tag}: generator [0-9]+ is not kappa = "):
+        with pytest.raises(ValueError, match=f"{tag}: generator {generator} is not kappa = "):
             kernels.case_tables.__wrapped__(tag)
 
     @pytest.mark.parametrize("doctor", [
@@ -533,8 +535,23 @@ class TestEstimate:
             estimate("qubit", seed=0, n_total=10, chunk_size=0)
         with pytest.raises(ValueError, match="checkpoint_every"):
             estimate("qubit", seed=0, n_total=10, checkpoint_every=-3)
-        with pytest.raises(ValueError, match="checkpoint_path"):
-            estimate("rebit", seed=0, n_total=10, workers=1, chunk_size=10, checkpoint_path="")
+        # a checkpoint path is a non-empty str or a PathLike of one: not a descriptor's
+        # number, not bytes; refused before any chunk runs or any file is made
+        class BytesPath:
+            def __fspath__(self):
+                return str(tmp_path / "run.ckpt").encode()
+
+        def no_chunk(*args, **kwargs):
+            raise AssertionError("a chunk ran before the checkpoint path was checked")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "run_chunk", no_chunk)
+            mp.chdir(tmp_path)
+            for bad in ("", 3, b"x", BytesPath()):
+                with pytest.raises(ValueError, match="^checkpoint_path must name a file"):
+                    estimate("rebit", seed=0, n_total=10, workers=1, chunk_size=10,
+                             checkpoint_path=bad)
+        assert os.listdir(tmp_path) == []
         # a float seed must neither run seed 1's streams nor reach a checkpoint file
         path = tmp_path / "run.ckpt"
         with pytest.raises(ValueError, match="seed"):
@@ -852,6 +869,23 @@ class TestCheckpoint:
                        checkpoint_path=path, checkpoint_every=1)
         assert res.tally == ck.tally
         assert checkpoint_load(path) == ck
+
+    def test_descriptor_number_refused_and_left_open(self, tmp_path):
+        # open() would read an int as a descriptor, and close it after
+        path = tmp_path / "run.ckpt"
+        self._write(path)
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            for path_like in (fd, os.fsencode(path)):
+                with pytest.raises(ValueError, match="checkpoint_path must name a file"):
+                    checkpoint_load(path_like)
+                with pytest.raises(ValueError, match="checkpoint_path must name a file"):
+                    checkpoint_save(Checkpoint("rebit", 0, 10, 0, TallyCounts.zero()), path_like)
+            os.fstat(fd)  # still open
+            assert os.lseek(fd, 0, os.SEEK_CUR) == 0
+        finally:
+            os.close(fd)
+        assert sorted(os.listdir(tmp_path)) == ["run.ckpt"]
 
     def test_not_a_regular_file_rejected(self):
         with pytest.raises(CheckpointError, match="not a regular file"):

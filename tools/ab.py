@@ -26,6 +26,15 @@ verdict of these that applies:
 - ``no worse``: otherwise.
 
 Exits 1 if any run exits nonzero or prints ``"correct": false``.
+
+How many rounds a result needs.  One call is one round.  The runs of a
+round drift together, so one round can misread equal code.  A ``worse``
+or ``unresolved`` reading, or 2/10 wins or fewer for a change that
+claims no gain, is rerun once from another ``--first-seed`` before it is
+reported, and both rounds are reported.  A ``gain`` needs two rounds
+that both read ``gain``.  A verdict is read from the alternated pairs
+within a round, never from medians of separate rounds set side by side:
+medians of unchanged code move between rounds by more than the bounds.
 """
 
 from __future__ import annotations
