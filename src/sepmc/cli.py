@@ -11,12 +11,13 @@ for an integer flag, `sampler.real_in` for `--alpha` and `--rel-tol`,
 codes, so every error is one stderr line naming the flag, path or field.
 An `estimate` flag's dest is the name of the `engine.estimate` parameter
 it sets, so `cmd_estimate` passes those through by name; each subcommand
-names its handler by `set_defaults(handler=...)`.  `selftest` runs `selftest.CHECKS` in order,
-one line per check, and counts a check that raises as failed.  Result
-documents are JSON with a fixed, versioned field order so runs can be
-diffed; every numeric field except wall_time_s is reproducible from the
-flags and seed alone.  `_emit` is the one function that builds and writes
-a document: a command hands it only its own fields and its wall time.
+names its handler by `set_defaults(handler=...)`.  `selftest` runs
+`selftest.CHECKS` in order, one line per check, and counts a check that
+raises as failed.  Result documents are JSON with a fixed, versioned
+field order so runs can be diffed; every numeric field except
+wall_time_s is reproducible from the flags and seed alone.  `_emit` is
+the one function that builds and writes a document: a command hands it
+only its own fields and its wall time.
 Before its first chunk, `estimate` refuses an unusable `--out` or
 `--checkpoint` by the engine's one path rule, `engine.check_path`, which
 gives the write's own reason without opening the path, and an `--out`

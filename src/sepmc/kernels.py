@@ -101,17 +101,17 @@ def case_tables(tag: str):
 
     kappa is the median magnitude of the nonzero parts (the upper one of
     an even count), so one off-scale generator cannot set it and is the
-    one named.  Raises one
-    ValueError, naming the family and the first generator that fails, unless
-    `algebra.complex_form` of kappa * signs gives back the basis exactly:
-    kappa * (+-1) is exact, so equality means that every generator is a
-    matrix over the number system whose nonzero parts are all +-kappa.
+    one named.  Raises one ValueError, naming the family and the first
+    generator that fails, unless `algebra.complex_form` of kappa * signs
+    gives back the basis exactly: kappa * (+-1) is exact, so equality means
+    that every generator is a matrix over the number system whose nonzero
+    parts are all +-kappa.
     """
     case = get_case(tag)
     basis = case.basis
     parts = entry_parts(case.beta, basis)
-    # the median nonzero magnitude, by a sort: np.median would import numpy.ma at every set-up
-    kappa = float(np.sort(np.abs(parts[parts != 0]))[np.count_nonzero(parts) // 2])
+    # a Python sort: np.median imports numpy.ma and np.sort pages in SIMD code at every set-up
+    kappa = sorted(np.abs(parts[parts != 0]).tolist())[np.count_nonzero(parts) // 2]
     signs = np.sign(parts).astype(np.int8)
     wrong = np.any(complex_form(kappa * signs) != basis, axis=(-2, -1))
     if wrong.any():
