@@ -485,8 +485,8 @@ class TestRealRuleAgreement:
     """The CLI and the series refuse exactly the same real values of alpha and rel_tol."""
 
     @pytest.mark.parametrize("flag, call, low, high", [
-        ("--alpha", lambda v: f_term(v), 0.0, sys.float_info.max),
-        ("--alpha", lambda v: p_of_alpha(v), 0.0, sys.float_info.max),
+        ("--alpha", f_term, 0.0, sys.float_info.max),
+        ("--alpha", p_of_alpha, 0.0, sys.float_info.max),
         ("--rel-tol", lambda v: p_of_alpha(1.0, v), MIN_REL_TOL, MAX_REL_TOL),
     ], ids=["alpha-f_term", "alpha-p_of_alpha", "rel_tol-p_of_alpha"])
     def test_cli_and_library_agree(self, capsys, flag, call, low, high):
